@@ -17,8 +17,8 @@
 // operating system. Every send goes through a per-rank netsim.Transport,
 // so the layer inherits the driver-level failover protocol: on a faulted
 // plane A the message retries over plane B (contending with any attached
-// OS stream) instead of silently vanishing, and the transport's route
-// cache amortises the per-message route lookup.
+// OS stream) instead of silently vanishing, and the topology's shared
+// route table amortises the per-message route lookup.
 package mpl
 
 import (

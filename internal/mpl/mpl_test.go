@@ -258,9 +258,10 @@ func TestCollectiveErrorPaths(t *testing.T) {
 }
 
 // BenchmarkSendSystem256 measures the per-message host cost of the MPL
-// send path over the full 256-processor system. The per-rank Transports
-// cache each (dst, plane) route after the first lookup, so steady-state
-// sends do no route computation and no per-message path allocation.
+// send path over the full 256-processor system. The topology's route
+// table keeps each (src, dst, plane) route after the first lookup, so
+// steady-state sends do no route computation and no per-message path
+// allocation.
 func BenchmarkSendSystem256(b *testing.B) {
 	w := NewWorld(topo.System256())
 	payload := make([]byte, 256)
@@ -306,7 +307,7 @@ func TestSendTracingOffAddsNoAllocs(t *testing.T) {
 		t.Fatal("fresh world has a recorder attached; tracing must default to off")
 	}
 	payload := make([]byte, 256)
-	// Warm the per-rank route caches over the full (src, dst) cycle so
+	// Warm the route table over the full (src, dst) cycle so
 	// the measured runs see only the steady-state path.
 	for i := 0; i < w.Ranks(); i++ {
 		src := i % w.Ranks()

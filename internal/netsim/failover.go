@@ -265,16 +265,14 @@ func (d Delivery) Latency() sim.Time { return d.Done - d.Sent }
 // tables count it).
 //
 // SendReliable is the cacheless entry point: every call pays the full
-// detection window on a dead plane, and no route cache amortises the
-// lookup. Long-lived senders should hold a Transport (transport.go)
-// instead — it runs the identical protocol with the plane-down and route
-// caches on top.
+// detection window on a dead plane. Long-lived senders should hold a
+// Transport (transport.go) instead — it runs the identical protocol with
+// the plane-down cache on top.
 func (n *Network) SendReliable(at sim.Time, src, dst, payloadBytes int, cfg FailoverConfig) (Delivery, error) {
 	if src < 0 || src >= n.topo.Nodes() {
 		return Delivery{}, fmt.Errorf("netsim: node out of range (%d, %d)", src, dst)
 	}
-	// An ephemeral transport shares the protocol body; its nil route
-	// cache falls through to direct topology lookups, and the zeroed
+	// An ephemeral transport shares the protocol body; the zeroed
 	// ReprobeInterval disables the plane-down cache.
 	eph := Transport{net: n, src: src}
 	cfg.ReprobeInterval = 0

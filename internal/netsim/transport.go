@@ -6,8 +6,9 @@
 // campaign, and every layer repeated the route lookup per message. A
 // Transport is a per-source handle over the network that owns:
 //
-//   - route lookup, with a per-(dst, plane) route cache (routes are a
-//     pure function of the immutable topology, so the cache survives
+//   - route lookup, a thin call into the topology's shared route table
+//     (routes are a pure function of the topology, so one table serves
+//     every transport, network and shard built over it, and survives
 //     Reset);
 //   - plane selection under the driver-level failover protocol of
 //     failover.go;
@@ -36,20 +37,6 @@ import (
 	"powermanna/internal/trace"
 )
 
-// routeEntry caches one (dst, plane) route lookup outcome.
-type routeEntry struct {
-	// state is routeUnknown until the first lookup, then routeOK or
-	// routeNone.
-	state [2]uint8
-	path  [2]topo.Path
-}
-
-const (
-	routeUnknown uint8 = iota
-	routeOK
-	routeNone
-)
-
 // planeDown is the per-plane entry of the driver's plane-down cache.
 type planeDown struct {
 	// down marks the plane as known-dead from the sender's viewpoint.
@@ -63,15 +50,12 @@ type planeDown struct {
 // path internal/comm, internal/mpl and internal/earth go through. Create
 // one per source node with Network.Transport. A Transport is bound to
 // its network's lifetime; Network.Reset clears its fault state (plane-
-// down cache) but keeps the route cache, which depends only on the
-// immutable topology.
+// down cache). It holds no routes of its own: every lookup goes to the
+// topology's route table.
 type Transport struct {
 	net *Network
 	src int
 	cfg FailoverConfig
-	// routes is the per-destination route cache (nil on the ephemeral
-	// transports behind Network.SendReliable).
-	routes []routeEntry
 	// down is the plane-down cache, one entry per link interface of the
 	// node (one per network plane of the duplicated system).
 	down [ni.LinksPerNode]planeDown
@@ -90,12 +74,7 @@ func (n *Network) Transport(src int, cfg FailoverConfig) (*Transport, error) {
 	if src < 0 || src >= n.topo.Nodes() {
 		return nil, fmt.Errorf("netsim: transport source %d out of range", src)
 	}
-	t := &Transport{
-		net:    n,
-		src:    src,
-		cfg:    cfg,
-		routes: make([]routeEntry, n.topo.Nodes()),
-	}
+	t := &Transport{net: n, src: src, cfg: cfg}
 	n.transports = append(n.transports, t)
 	return t, nil
 }
@@ -140,28 +119,26 @@ func (t *Transport) PlaneDown(plane int) (down bool, reprobeAt sim.Time) {
 	return t.down[plane].down, t.down[plane].reprobeAt
 }
 
-// Route returns the cached route from the transport's source to dst on
-// the given plane, computing and caching it on first use.
+// Route returns the route from the transport's source to dst on the
+// given plane, from the topology's shared route table.
 //
 //pmlint:hotpath
 func (t *Transport) Route(dst, plane int) (topo.Path, error) {
-	if t.routes == nil || dst < 0 || dst >= len(t.routes) {
-		return t.net.topo.Route(t.src, dst, plane)
+	p, err := t.net.topo.Route(t.src, dst, plane)
+	if err != nil {
+		return topo.Path{}, t.routeError(dst, plane, err)
 	}
-	e := &t.routes[dst]
-	if e.state[plane] == routeUnknown {
-		p, err := t.net.topo.Route(t.src, dst, plane)
-		if err != nil {
-			e.state[plane] = routeNone
-		} else {
-			e.state[plane] = routeOK
-			e.path[plane] = p
-		}
+	return p, nil
+}
+
+// routeError words a failed Route: a bad destination or plane keeps the
+// topology's explanation; a valid plane without a route is reported as
+// unwired.
+func (t *Transport) routeError(dst, plane int, err error) error {
+	if dst < 0 || dst >= t.net.topo.Nodes() || (plane != topo.NetworkA && plane != topo.NetworkB) {
+		return err
 	}
-	if e.state[plane] == routeNone {
-		return topo.Path{}, fmt.Errorf("netsim: no plane-%s route %d->%d", planeName(plane), t.src, dst) //pmlint:allow hotpath cold unwired-plane path, cached after the first lookup
-	}
-	return e.path[plane], nil
+	return fmt.Errorf("netsim: no plane-%s route %d->%d", planeName(plane), t.src, dst)
 }
 
 // Send posts payloadBytes to dst under the failover protocol with the
@@ -175,8 +152,7 @@ func (t *Transport) Send(at sim.Time, dst, payloadBytes int) (Delivery, error) {
 	return t.sendWith(at, dst, payloadBytes, t.cfg)
 }
 
-// resetFaultState clears the plane-down cache (Network.Reset); the route
-// cache depends only on the immutable topology and survives.
+// resetFaultState clears the plane-down cache (Network.Reset).
 func (t *Transport) resetFaultState() {
 	t.down = [ni.LinksPerNode]planeDown{}
 }

@@ -9,9 +9,9 @@ import (
 	"powermanna/internal/topo"
 )
 
-// TestTransportRouteCache verifies the per-(dst, plane) route cache
-// returns the same path the topology computes, on both planes, and keeps
-// returning it on repeated lookups.
+// TestTransportRouteCache verifies Transport.Route reads the topology's
+// shared route table: the same path the topology returns, on both planes,
+// on repeated lookups, backed by the very same hop array.
 func TestTransportRouteCache(t *testing.T) {
 	n := New(topo.Cluster8())
 	tp := n.MustTransport(2, DefaultFailover())
@@ -28,7 +28,29 @@ func TestTransportRouteCache(t *testing.T) {
 			if got.Network != want.Network || got.Dst != want.Dst || len(got.Hops) != len(want.Hops) {
 				t.Errorf("cached route differs from topo.Route: %+v vs %+v", got, want)
 			}
+			if &got.Hops[0] != &want.Hops[0] {
+				t.Errorf("plane %d: transport route is a copy, not the topology's table entry", plane)
+			}
 		}
+	}
+}
+
+// TestTransportRouteBadArguments pins that a plane outside {A, B} or a
+// destination outside the topology is an error, not a panic, and that an
+// unwired plane keeps its netsim wording.
+func TestTransportRouteBadArguments(t *testing.T) {
+	tp := New(topo.Cluster8()).MustTransport(0, DefaultFailover())
+	for _, c := range []struct{ dst, plane int }{
+		{7, -1}, {7, 7}, {8, topo.NetworkA}, {-1, topo.NetworkB},
+	} {
+		if _, err := tp.Route(c.dst, c.plane); err == nil {
+			t.Errorf("Route(%d, %d) succeeded", c.dst, c.plane)
+		}
+	}
+	mp := New(topo.Mesh(2, 2)).MustTransport(0, DefaultFailover())
+	_, err := mp.Route(3, topo.NetworkB)
+	if err == nil || err.Error() != "netsim: no plane-B route 0->3" {
+		t.Errorf("unwired plane error = %v, want netsim: no plane-B route 0->3", err)
 	}
 }
 

@@ -79,7 +79,7 @@ func (t *Topology) GroupPartition() (*Partition, error) {
 	nodeShard := make([]int, t.nodes)
 	leafOf := make(map[int]int) // leaf device -> group index
 	for n := 0; n < t.nodes; n++ {
-		e, ok := t.adj[port{n, NetworkA}]
+		e, ok := t.link(n, NetworkA)
 		if !ok {
 			return nil, fmt.Errorf("topo %s: node %d link A not wired", t.name, n)
 		}
@@ -111,7 +111,7 @@ func (t *Topology) derivePartition(nodeShard []int, shards int) (*Partition, err
 		p.leafGroup[x] = -1
 		dev := t.nodes + x
 		for o := 0; o < xbar.Ports; o++ {
-			e, ok := t.adj[port{dev, o}]
+			e, ok := t.link(dev, o)
 			if !ok || !t.isNode(e.peerDev) {
 				continue
 			}
@@ -131,7 +131,7 @@ func (t *Topology) derivePartition(nodeShard []int, shards int) (*Partition, err
 		p.outOwner[x] = make([]int, xbar.Ports)
 		dev := t.nodes + x
 		for o := range p.outOwner[x] {
-			e, ok := t.adj[port{dev, o}]
+			e, ok := t.link(dev, o)
 			switch {
 			case !ok:
 				p.outOwner[x][o] = -1
@@ -178,7 +178,7 @@ func (p *Partition) XbarOutOwner(x, out int) int { return p.outOwner[x][out] }
 // wire before a partitioned run (lazy wire creation would write a shared
 // map from concurrent shards).
 func (t *Topology) Wired(dev, p int) bool {
-	_, ok := t.adj[port{dev, p}]
+	_, ok := t.link(dev, p)
 	return ok
 }
 

@@ -26,7 +26,7 @@ func (t *Topology) CrossbarPlanes() []int {
 			}
 		}
 		for nd := 0; nd < t.nodes; nd++ {
-			if e, ok := t.adj[port{nd, net}]; ok && !t.isNode(e.peerDev) {
+			if e, ok := t.link(nd, net); ok && !t.isNode(e.peerDev) {
 				claim(e.peerDev)
 			}
 		}
@@ -34,7 +34,7 @@ func (t *Topology) CrossbarPlanes() []int {
 			dev := queue[0]
 			queue = queue[1:]
 			for out := 0; out < xbar.Ports; out++ {
-				if e, ok := t.adj[port{dev, out}]; ok && !t.isNode(e.peerDev) {
+				if e, ok := t.link(dev, out); ok && !t.isNode(e.peerDev) {
 					claim(e.peerDev)
 				}
 			}
@@ -54,7 +54,7 @@ func (t *Topology) CentralCrossbars() []int {
 	for i := range t.xbarName {
 		wired, node := false, false
 		for p := 0; p < xbar.Ports; p++ {
-			if e, ok := t.adj[port{t.nodes + i, p}]; ok {
+			if e, ok := t.link(t.nodes+i, p); ok {
 				wired = true
 				if t.isNode(e.peerDev) {
 					node = true
@@ -73,7 +73,7 @@ func (t *Topology) CentralCrossbars() []int {
 func (t *Topology) WiredPorts(i int) []int {
 	var wired []int
 	for p := 0; p < xbar.Ports; p++ {
-		if _, used := t.adj[port{t.nodes + i, p}]; used {
+		if _, used := t.link(t.nodes+i, p); used {
 			wired = append(wired, p)
 		}
 	}

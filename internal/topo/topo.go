@@ -24,10 +24,21 @@
 // are found by breadth-first search over the port graph, which is valid
 // because the PowerMANNA crossbar routes any input to any output (unlike
 // the CM-5's level-restricted 8×8 crossbar).
+//
+// A route is a pure function of (src, dst, network), so each Topology
+// memoizes them in one route table shared by every network, transport
+// and psim shard built over it. The table fills lazily: the first Route
+// call for a triple runs the search and publishes the result with an
+// atomic compare-and-swap, and the entry is immutable from then on, so
+// concurrent callers (the rows of a parallel campaign) need no lock and a
+// repeat lookup allocates nothing. Connect drops the table, because a new
+// link can shorten existing routes; wiring is not safe to run
+// concurrently with Route.
 package topo
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"powermanna/internal/xbar"
 )
@@ -45,11 +56,12 @@ type port struct {
 	port int
 }
 
-// edge is one bidirectional physical link.
+// edge is one bidirectional physical link, seen from one of its ends.
 type edge struct {
 	peerDev  int
 	peerPort int
 	async    bool // crosses an asynchronous transceiver pair
+	wired    bool // false for a free port
 }
 
 // Topology is an assembled interconnect.
@@ -57,13 +69,29 @@ type Topology struct {
 	name     string
 	nodes    int
 	xbarName []string
-	// adjacency: per device, port → edge.
-	adj map[port]edge
+	// adj is the dense adjacency: the edge leaving (dev, port) sits at
+	// dev*xbar.Ports+port. Nodes use only their first two slots.
+	adj []edge
+	// routes is the lazily filled route table (nil until the first
+	// Route, and again after every Connect).
+	routes atomic.Pointer[routeTable]
+}
+
+// routeTable memoizes Route: one slot per (src, dst, network), written
+// once by compare-and-swap and immutable after.
+type routeTable struct {
+	slots []atomic.Pointer[routeResult]
+}
+
+// routeResult is one memoized Route outcome.
+type routeResult struct {
+	path Path
+	err  error
 }
 
 // New starts an empty topology with the given number of nodes.
 func New(name string, nodes int) *Topology {
-	return &Topology{name: name, nodes: nodes, adj: make(map[port]edge)}
+	return &Topology{name: name, nodes: nodes, adj: make([]edge, nodes*xbar.Ports)}
 }
 
 // Name returns the topology label.
@@ -82,6 +110,7 @@ func (t *Topology) CrossbarName(i int) string { return t.xbarName[i] }
 // + crossbar ordinal).
 func (t *Topology) AddCrossbar(name string) int {
 	t.xbarName = append(t.xbarName, name)
+	t.adj = append(t.adj, make([]edge, xbar.Ports)...)
 	return t.nodes + len(t.xbarName) - 1
 }
 
@@ -91,20 +120,32 @@ func (t *Topology) xbarIndex(dev int) int { return dev - t.nodes }
 // isNode reports whether a device index is a node.
 func (t *Topology) isNode(dev int) bool { return dev < t.nodes }
 
+// link returns the edge leaving (dev, p) and whether that port is wired;
+// a port outside the device range is reported unwired.
+func (t *Topology) link(dev, p int) (edge, bool) {
+	if dev < 0 || p < 0 || p >= xbar.Ports || dev*xbar.Ports+p >= len(t.adj) {
+		return edge{}, false
+	}
+	e := t.adj[dev*xbar.Ports+p]
+	return e, e.wired
+}
+
 // Connect wires (devA, portA) to (devB, portB) as one bidirectional link.
 // async marks an inter-cabinet link through transceivers. It returns an
-// error if either port is already wired or out of range.
+// error if either port is already wired or out of range. Connecting
+// drops the route table.
 func (t *Topology) Connect(devA, portA, devB, portB int, async bool) error {
 	for _, p := range []port{{devA, portA}, {devB, portB}} {
 		if err := t.checkPort(p); err != nil {
 			return err
 		}
-		if _, used := t.adj[p]; used {
+		if _, used := t.link(p.dev, p.port); used {
 			return fmt.Errorf("topo %s: port %v already wired", t.name, p)
 		}
 	}
-	t.adj[port{devA, portA}] = edge{peerDev: devB, peerPort: portB, async: async}
-	t.adj[port{devB, portB}] = edge{peerDev: devA, peerPort: portA, async: async}
+	t.adj[devA*xbar.Ports+portA] = edge{peerDev: devB, peerPort: portB, async: async, wired: true}
+	t.adj[devB*xbar.Ports+portB] = edge{peerDev: devA, peerPort: portA, async: async, wired: true}
+	t.routes.Store(nil)
 	return nil
 }
 
@@ -149,101 +190,143 @@ type Path struct {
 // crossbars of the Figure 5b system share permutation traffic instead of
 // funnelling through one — the load distribution the duplicated
 // hierarchy is built for.
+//
+// Routes come from the topology's shared route table: the first call for
+// a (src, dst, network) runs the search, later calls return the same
+// result without allocating. The returned Hops and RouteBytes are shared
+// with every other caller and must not be modified.
+//
+//pmlint:hotpath
 func (t *Topology) Route(src, dst, network int) (Path, error) {
-	if src < 0 || src >= t.nodes || dst < 0 || dst >= t.nodes {
-		return Path{}, fmt.Errorf("topo %s: node out of range (%d, %d)", t.name, src, dst)
-	}
-	if network != NetworkA && network != NetworkB {
-		return Path{}, fmt.Errorf("topo %s: network %d invalid", t.name, network)
+	if src < 0 || src >= t.nodes || dst < 0 || dst >= t.nodes ||
+		(network != NetworkA && network != NetworkB) {
+		return Path{}, t.routeArgError(src, dst, network)
 	}
 	if src == dst {
 		return Path{Src: src, Dst: dst, Network: network}, nil
 	}
-	first, ok := t.adj[port{src, network}]
+	tab := t.routes.Load()
+	if tab == nil {
+		tab = t.newRouteTable()
+	}
+	slot := &tab.slots[(src*t.nodes+dst)*2+network]
+	r := slot.Load()
+	if r == nil {
+		r = t.search(src, dst, network)
+		if !slot.CompareAndSwap(nil, r) {
+			r = slot.Load() // a concurrent caller published the same route first
+		}
+	}
+	return r.path, r.err
+}
+
+// routeArgError explains why Route rejected its arguments.
+func (t *Topology) routeArgError(src, dst, network int) error {
+	if src < 0 || src >= t.nodes || dst < 0 || dst >= t.nodes {
+		return fmt.Errorf("topo %s: node out of range (%d, %d)", t.name, src, dst)
+	}
+	return fmt.Errorf("topo %s: network %d invalid", t.name, network)
+}
+
+// newRouteTable installs an empty route table, or returns the one a
+// concurrent caller installed first.
+func (t *Topology) newRouteTable() *routeTable {
+	tab := &routeTable{slots: make([]atomic.Pointer[routeResult], t.nodes*t.nodes*2)}
+	if t.routes.CompareAndSwap(nil, tab) {
+		return tab
+	}
+	return t.routes.Load()
+}
+
+// bfsVisit is the search's record of one reached device.
+type bfsVisit struct {
+	// from and out are the crossbar the search arrived from and the
+	// output port it left by.
+	from int32
+	out  int8
+	seen bool
+	// asyncIn marks that the link the search arrived on crossed
+	// transceivers.
+	asyncIn bool
+}
+
+// search runs the breadth-first route search behind Route for src != dst,
+// both in range. The search stops as soon as it reaches dst: a device's
+// record is written once, when first reached, so expanding the rest of
+// the queue could not change the path.
+func (t *Topology) search(src, dst, network int) *routeResult {
+	first, ok := t.link(src, network)
 	if !ok {
-		return Path{}, fmt.Errorf("topo %s: node %d link %d not wired", t.name, src, network)
+		return &routeResult{err: fmt.Errorf("topo %s: node %d link %d not wired", t.name, src, network)}
 	}
 
 	// BFS over devices, starting from the device at the end of src's link.
-	type state struct {
-		dev     int
-		inPort  int
-		asyncIn bool
-	}
-	prev := make(map[int]state) // dev -> how we arrived
-	visited := map[int]bool{src: true, first.peerDev: true}
-	queue := []state{{dev: first.peerDev, inPort: first.peerPort, asyncIn: first.async}}
-	arrival := map[int]state{first.peerDev: queue[0]}
-	found := false
-	for len(queue) > 0 && !found {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.dev == dst {
-			found = true
-			break
-		}
-		if t.isNode(cur.dev) {
+	visit := make([]bfsVisit, t.nodes+len(t.xbarName))
+	visit[src].seen = true
+	visit[first.peerDev] = bfsVisit{seen: true, asyncIn: first.async}
+	queue := make([]int32, 1, len(visit))
+	queue[0] = int32(first.peerDev)
+	found := first.peerDev == dst
+	for head := 0; head < len(queue) && !found; head++ {
+		cur := int(queue[head])
+		if t.isNode(cur) {
 			continue // routes only pass through crossbars
 		}
 		// Deterministic expansion order, shuffled per (src, dst, device)
 		// so equal-cost alternatives spread uniformly across parallel
 		// crossbars (a rotation would bias toward the first valid port).
-		order := portOrder(uint64(src)*1_000_003 + uint64(dst)*131 + uint64(network)*17 + uint64(cur.dev)*31)
+		order := portOrder(uint64(src)*1_000_003 + uint64(dst)*131 + uint64(network)*17 + uint64(cur)*31)
 		for _, out := range order {
-			e, ok := t.adj[port{cur.dev, out}]
-			if !ok || visited[e.peerDev] {
+			e := t.adj[cur*xbar.Ports+out]
+			if !e.wired || visit[e.peerDev].seen {
 				continue
 			}
-			visited[e.peerDev] = true
-			next := state{dev: e.peerDev, inPort: e.peerPort, asyncIn: e.async}
-			prev[e.peerDev] = state{dev: cur.dev, inPort: out} // out port stored in inPort field
-			arrival[e.peerDev] = next
-			queue = append(queue, next)
+			visit[e.peerDev] = bfsVisit{from: int32(cur), out: int8(out), seen: true, asyncIn: e.async}
+			if e.peerDev == dst {
+				found = true
+				break
+			}
+			queue = append(queue, int32(e.peerDev))
 		}
 	}
 	if !found {
-		return Path{}, fmt.Errorf("topo %s: no route %d -> %d on network %d", t.name, src, dst, network)
+		return &routeResult{err: fmt.Errorf("topo %s: no route %d -> %d on network %d", t.name, src, dst, network)}
 	}
 
-	// Reconstruct: walk back from dst collecting (crossbar, out port).
-	var rev []Hop
-	async := 0
-	dev := dst
-	for dev != first.peerDev {
-		p := prev[dev]
-		arr := arrival[dev]
-		if arr.asyncIn {
+	// Reconstruct: walk back from dst counting crossbars and async links,
+	// then fill the hops src→dst in reverse.
+	n, async := 0, 0
+	for dev := dst; dev != first.peerDev; dev = int(visit[dev].from) {
+		n++
+		if visit[dev].asyncIn {
 			async++
 		}
-		rev = append(rev, Hop{Xbar: t.xbarIndex(p.dev), Out: p.inPort})
-		dev = p.dev
 	}
-	if arrival[first.peerDev].asyncIn {
+	if first.async {
 		async++
 	}
-
 	path := Path{Src: src, Dst: dst, Network: network, AsyncLinks: async}
-	// rev is dst→src; reverse and fill input ports.
-	inPort := first.peerPort
-	for i := len(rev) - 1; i >= 0; i-- {
-		h := rev[i]
-		h.In = inPort
-		// The next hop's input port is the far end of this hop's output.
-		e := t.adj[port{t.nodes + h.Xbar, h.Out}]
-		inPort = e.peerPort
-		h.AsyncIn = false // refined below
-		path.Hops = append(path.Hops, h)
-		path.RouteBytes = append(path.RouteBytes, xbar.EncodeRoute(h.Out))
+	if n > 0 {
+		path.Hops = make([]Hop, n)
+		path.RouteBytes = make([]byte, n)
 	}
-	// Mark async inputs per hop.
-	if first.async && len(path.Hops) > 0 {
-		path.Hops[0].AsyncIn = true
+	i := n - 1
+	for dev := dst; dev != first.peerDev; dev = int(visit[dev].from) {
+		v := visit[dev]
+		path.Hops[i] = Hop{Xbar: t.xbarIndex(int(v.from)), Out: int(v.out)}
+		path.RouteBytes[i] = xbar.EncodeRoute(int(v.out))
+		i--
 	}
-	for i := 1; i < len(path.Hops); i++ {
-		e := t.adj[port{t.nodes + path.Hops[i-1].Xbar, path.Hops[i-1].Out}]
-		path.Hops[i].AsyncIn = e.async
+	// Input ports and async inputs: each hop enters where the previous
+	// hop's output link lands.
+	inPort, asyncIn := first.peerPort, first.async
+	for i := range path.Hops {
+		h := &path.Hops[i]
+		h.In, h.AsyncIn = inPort, asyncIn
+		e := t.adj[(t.nodes+h.Xbar)*xbar.Ports+h.Out]
+		inPort, asyncIn = e.peerPort, e.async
 	}
-	return path, nil
+	return &routeResult{path: path}
 }
 
 // portOrder returns a deterministic pseudo-random permutation of the
@@ -275,7 +358,7 @@ func (t *Topology) MaxCrossbars() (int, error) {
 				continue
 			}
 			for _, net := range []int{NetworkA, NetworkB} {
-				if _, wired := t.adj[port{s, net}]; !wired {
+				if _, wired := t.link(s, net); !wired {
 					continue // single-network topologies (e.g. meshes)
 				}
 				p, err := t.Route(s, d, net)
@@ -295,7 +378,7 @@ func (t *Topology) MaxCrossbars() (int, error) {
 func (t *Topology) FreePorts(i int) int {
 	free := 0
 	for p := 0; p < xbar.Ports; p++ {
-		if _, used := t.adj[port{t.nodes + i, p}]; !used {
+		if _, used := t.link(t.nodes+i, p); !used {
 			free++
 		}
 	}
