@@ -113,6 +113,167 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 	}
 }
 
+// timedSend is one message of a multi-send protocol sequence.
+type timedSend struct {
+	at       sim.Time
+	src, dst int
+}
+
+// sendRun is everything a multi-send sequence leaves behind: each
+// message's outcome, both planes' counters and the metrics dump.
+type sendRun struct {
+	deliveries []Delivery
+	planes     [2]PlaneCounters
+	mets       string
+}
+
+// legacySequence runs the sends in order through one network's
+// long-lived transports, so the plane-down cache carries state from
+// message to message.
+func legacySequence(t *testing.T, sends []timedSend, fault func(*Network)) sendRun {
+	t.Helper()
+	n := New(topo.System256())
+	reg := metrics.NewRegistry()
+	n.SetMetrics(reg)
+	fault(n)
+	tps := map[int]*Transport{}
+	var run sendRun
+	for _, s := range sends {
+		tp := tps[s.src]
+		if tp == nil {
+			tp = n.MustTransport(s.src, DefaultFailover())
+			tps[s.src] = tp
+		}
+		d, err := tp.Send(s.at, s.dst, 256)
+		if err != nil {
+			t.Fatalf("legacy send %+v: %v", s, err)
+		}
+		run.deliveries = append(run.deliveries, d)
+	}
+	run.planes = [2]PlaneCounters{n.Plane(0), n.Plane(1)}
+	run.mets = reg.Render()
+	return run
+}
+
+// partSequence runs the same sends through one partitioned network,
+// each issued by an event at its send time on the source's shard.
+func partSequence(t *testing.T, shards int, sends []timedSend, fault func(*Network)) sendRun {
+	t.Helper()
+	pn, err := NewPartitioned(topo.System256(), shards, DefaultFailover())
+	if err != nil {
+		t.Fatalf("NewPartitioned(%d): %v", shards, err)
+	}
+	reg := metrics.NewRegistry()
+	pn.SetMetrics(reg)
+	fault(pn.Network())
+	run := sendRun{deliveries: make([]Delivery, len(sends))}
+	done := make([]bool, len(sends))
+	for i, s := range sends {
+		i, s := i, s
+		pn.Shard(pn.ShardOf(s.src)).At(s.at, func() {
+			if err := pn.SendAsync(s.src, s.dst, 256, nil, s.at, func(d Delivery) {
+				run.deliveries[i], done[i] = d, true
+			}); err != nil {
+				t.Errorf("SendAsync %+v: %v", s, err)
+			}
+		})
+	}
+	pn.Run()
+	for i, ok := range done {
+		if !ok {
+			t.Fatalf("shards=%d: send %+v never completed", shards, sends[i])
+		}
+	}
+	run.planes = [2]PlaneCounters{pn.Plane(0), pn.Plane(1)}
+	run.mets = reg.Render()
+	return run
+}
+
+// TestPartitionedMultiSendMatchesLegacy pins the failover protocol
+// across message boundaries: a sequence of non-overlapping sends from
+// one node exercises the plane-down cache (skip, reprobe, recovery),
+// the both-planes-failed outcome, the FIFO-stall abandon, the CRC retry
+// budget and the end of the retry rounds on both executors. Every Delivery, both planes' counters
+// and the metrics dump must agree at every aligned shard count.
+func TestPartitionedMultiSendMatchesLegacy(t *testing.T) {
+	lastWire := func(n *Network, src, dst int) (int, int) {
+		path, err := n.Topology().Route(src, dst, topo.NetworkA)
+		if err != nil {
+			t.Fatalf("route: %v", err)
+		}
+		last := path.Hops[len(path.Hops)-1]
+		return n.Topology().Nodes() + last.Xbar, last.Out
+	}
+	cases := []struct {
+		name  string
+		fault func(*Network)
+		sends []timedSend
+		// exercised checks the legacy run took the path the case pins.
+		exercised func(sendRun) bool
+	}{
+		{"cache-skip-then-reprobe",
+			func(n *Network) { n.CutWire(0, topo.NetworkA, 100*sim.Nanosecond) },
+			[]timedSend{{0, 0, 13}, {50 * sim.Microsecond, 0, 13}, {100 * sim.Microsecond, 0, 5}, {400 * sim.Microsecond, 0, 13}},
+			func(r sendRun) bool {
+				last := r.deliveries[len(r.deliveries)-1]
+				return r.planes[0].SkippedDown == 2 && last.SkippedDown == 0 && last.Attempts == 2
+			}},
+		{"both-planes-cut",
+			func(n *Network) {
+				n.CutWire(0, topo.NetworkA, 0)
+				n.CutWire(0, topo.NetworkB, 0)
+			},
+			[]timedSend{{0, 0, 13}, {60 * sim.Microsecond, 0, 13}},
+			func(r sendRun) bool { return r.deliveries[0].Failed && r.deliveries[1].Failed }},
+		{"fifo-stall-abandon",
+			func(n *Network) { n.NI(0).Links[topo.NetworkA].Stall(0, 40*sim.Microsecond) },
+			[]timedSend{{0, 0, 13}, {30 * sim.Microsecond, 0, 13}},
+			func(r sendRun) bool { return r.planes[0].Stalled == 1 && r.planes[0].SetupTimeouts == 1 }},
+		{"crc-budget-exhausted",
+			func(n *Network) {
+				dev, port := lastWire(n, 0, 13)
+				n.CorruptWire(dev, port, 0, 200*sim.Microsecond)
+			},
+			[]timedSend{{0, 0, 13}, {80 * sim.Microsecond, 0, 13}},
+			func(r sendRun) bool { return r.planes[0].CRCRetries == 1 && r.planes[0].FailedOver == 1 }},
+		{"retries-end-on-hard-planes",
+			// Plane A soft-fails (wedged FIFO), plane B is cut; the retry
+			// round finds A cut too, and the next round, with only hard-down
+			// planes left, ends the send.
+			func(n *Network) {
+				n.NI(0).Links[topo.NetworkA].Stall(0, 15*sim.Microsecond)
+				n.CutWire(0, topo.NetworkA, 15*sim.Microsecond)
+				n.CutWire(0, topo.NetworkB, 0)
+			},
+			[]timedSend{{0, 0, 13}},
+			func(r sendRun) bool {
+				d := r.deliveries[0]
+				return d.Failed && d.Attempts == 3 && r.planes[0].SetupTimeouts == 1 && r.planes[0].LinkDown == 1
+			}},
+	}
+	for _, tc := range cases {
+		want := legacySequence(t, tc.sends, tc.fault)
+		if !tc.exercised(want) {
+			t.Fatalf("%s: the sequence misses the path it pins: %+v %+v", tc.name, want.deliveries, want.planes)
+		}
+		for _, shards := range system256Shards {
+			got := partSequence(t, shards, tc.sends, tc.fault)
+			for i := range want.deliveries {
+				if got.deliveries[i] != want.deliveries[i] {
+					t.Errorf("%s shards=%d send %d:\n got %+v\nwant %+v",
+						tc.name, shards, i, got.deliveries[i], want.deliveries[i])
+				}
+			}
+			if got.planes != want.planes {
+				t.Errorf("%s shards=%d plane counters:\n got %+v\nwant %+v", tc.name, shards, got.planes, want.planes)
+			}
+			if got.mets != want.mets {
+				t.Errorf("%s shards=%d metrics diverged:\n got %s\nwant %s", tc.name, shards, got.mets, want.mets)
+			}
+		}
+	}
+}
+
 // partBurst is a contended workload: every node sends a first wave to a
 // fixed permutation target at t=0 and a second wave back to its group
 // neighbourhood at 2 µs — enough same-time cross-group traffic to
