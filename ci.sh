@@ -3,12 +3,13 @@
 #
 # Runs the whole verification ladder and stops at the first failure:
 # formatting, vet, build, race-enabled tests, the determinism-contract
-# lint (cmd/pmlint), a build of every cmd/* binary, pmfault smoke
-# campaigns pinned against golden degradation tables, pmtrace smoke
-# exports pinned against golden timelines, and the parallel-engine
-# equivalence gate (every pinned campaign rerun with --engine par must
-# match the same goldens byte for byte). A clean exit means the tree is
-# safe to ship.
+# lint (cmd/pmlint), a build of every cmd/* binary, and pmtrace smoke
+# exports pinned against golden timelines on both engines. The pmfault,
+# pmstat and pmtraffic goldens — every pinned campaign, sweep and
+# telemetry table, on the sequential and the parallel engine — are
+# checked by `go test` (cmd/*/main_test.go), which runs the commands in
+# process with the same arguments. A clean exit means the tree is safe
+# to ship.
 set -eu
 
 cd "$(dirname "$0")"
@@ -58,121 +59,12 @@ for d in cmd/*/; do
     go build -o "$bindir/$(basename "$d")" "./$d"
 done
 
-echo "== pmfault smoke campaigns =="
-# Fixed seeds; stdout must match the checked-in goldens byte for byte
-# (the campaign half of the determinism contract). One synthetic
-# campaign, one application campaign over the transport layer.
-for campaign in link-cut heat-linkcut central-cut; do
-    "$bindir/pmfault" --campaign "$campaign" --seed 1 > "$bindir/pmfault.out"
-    if ! cmp -s "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out"; then
-        echo "pmfault smoke output diverged from testdata/pmfault_${campaign}_seed1.golden:" >&2
-        diff "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out" >&2 || true
-        exit 1
-    fi
-done
-# An application campaign at System256 scale, and the --metrics dump
-# (counters and histograms must be as reproducible as the tables).
-"$bindir/pmfault" --campaign heat-linkcut --topo system256 --seed 1 > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_heat-linkcut_system256_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault System256 output diverged from testdata/pmfault_heat-linkcut_system256_seed1.golden:" >&2
-    diff testdata/pmfault_heat-linkcut_system256_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-"$bindir/pmfault" --campaign link-cut --seed 1 --metrics > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_link-cut_metrics_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault --metrics output diverged from testdata/pmfault_link-cut_metrics_seed1.golden:" >&2
-    diff testdata/pmfault_link-cut_metrics_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-# The app-campaign metrics dump completes the machine profile with the
-# receive-wait view (mpl.recv.wait).
-"$bindir/pmfault" --campaign heat-linkcut --seed 1 --metrics > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault heat --metrics output diverged from testdata/pmfault_heat-linkcut_metrics_seed1.golden:" >&2
-    diff testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-
-echo "== parallel-engine golden equivalence =="
-# The psim contract: --engine par must reproduce every golden byte for
-# byte. Rerun the pinned campaigns (tables, metrics, timelines) on the
-# sharded engine against the same goldens the sequential runs matched.
-for campaign in link-cut heat-linkcut central-cut; do
-    "$bindir/pmfault" --campaign "$campaign" --seed 1 --engine par > "$bindir/pmfault.out"
-    if ! cmp -s "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out"; then
-        echo "pmfault --engine par diverged from testdata/pmfault_${campaign}_seed1.golden:" >&2
-        diff "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out" >&2 || true
-        exit 1
-    fi
-done
-"$bindir/pmfault" --campaign heat-linkcut --seed 1 --metrics --engine par > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault --engine par metrics diverged from testdata/pmfault_heat-linkcut_metrics_seed1.golden:" >&2
-    diff testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
+echo "== parallel-engine trace equivalence =="
+# The psim contract for timelines: --engine par must reproduce the
+# sequential campaign export byte for byte.
 "$bindir/pmtrace" --campaign link-cut --seed 1 --messages 60 --engine par > "$bindir/pmtrace.out"
 if ! cmp -s testdata/pmtrace_link-cut_seed1.golden "$bindir/pmtrace.out"; then
     echo "pmtrace --engine par timeline diverged from testdata/pmtrace_link-cut_seed1.golden" >&2
-    exit 1
-fi
-
-echo "== node-partitioned single-workload equivalence =="
-# The tentpole contract of the partitioned datapath: one System256
-# application, its sends split across psim shards through cross-shard
-# mailboxes, must reproduce the sequential golden byte for byte when the
-# workload itself runs partitioned (--engine par --shards 4).
-"$bindir/pmfault" --campaign heat-linkcut --topo system256 --seed 1 --engine par --shards 4 > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_heat-linkcut_system256_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault --engine par --shards 4 diverged from testdata/pmfault_heat-linkcut_system256_seed1.golden:" >&2
-    diff testdata/pmfault_heat-linkcut_system256_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-
-echo "== multi-tenant traffic equivalence =="
-# The open-loop traffic engine's contract: the System256 SLO sweep —
-# four tenants of seeded arrival-process load under plane-A link and
-# central-stage cuts — must reproduce the golden byte for byte on the
-# sequential engine AND partitioned across 4 psim shards.
-"$bindir/pmfault" --traffic --topo system256 --seed 1 > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_traffic_system256_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault --traffic output diverged from testdata/pmfault_traffic_system256_seed1.golden:" >&2
-    diff testdata/pmfault_traffic_system256_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-"$bindir/pmfault" --traffic --topo system256 --seed 1 --engine par --shards 4 > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_traffic_system256_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault --traffic --engine par --shards 4 diverged from testdata/pmfault_traffic_system256_seed1.golden:" >&2
-    diff testdata/pmfault_traffic_system256_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-
-echo "== pmtraffic metrics dump =="
-# The per-tenant service registry, latency-decomposition histograms
-# (netsim.send.wait.*) included: the dump must reproduce byte for byte
-# on both engines.
-"$bindir/pmtraffic" --mix default --seed 1 --metrics > "$bindir/pmtraffic.out"
-if ! cmp -s testdata/pmtraffic_default_metrics_seed1.golden "$bindir/pmtraffic.out"; then
-    echo "pmtraffic --metrics output diverged from testdata/pmtraffic_default_metrics_seed1.golden:" >&2
-    diff testdata/pmtraffic_default_metrics_seed1.golden "$bindir/pmtraffic.out" >&2 || true
-    exit 1
-fi
-
-echo "== pmstat windowed telemetry =="
-# The tentpole contract of the telemetry layer: the System256 default
-# mix under a deterministic mid-run link-cut scenario, rendered as
-# per-window burn-rate and latency-decomposition tables, byte-identical
-# on the sequential engine AND partitioned across 4 psim shards.
-"$bindir/pmstat" --campaign link-cut --faults 8 --topo system256 --seed 1 > "$bindir/pmstat.out"
-if ! cmp -s testdata/pmstat_default_system256_seed1.golden "$bindir/pmstat.out"; then
-    echo "pmstat output diverged from testdata/pmstat_default_system256_seed1.golden:" >&2
-    diff testdata/pmstat_default_system256_seed1.golden "$bindir/pmstat.out" >&2 || true
-    exit 1
-fi
-"$bindir/pmstat" --campaign link-cut --faults 8 --topo system256 --seed 1 --engine par --shards 4 > "$bindir/pmstat.out"
-if ! cmp -s testdata/pmstat_default_system256_seed1.golden "$bindir/pmstat.out"; then
-    echo "pmstat --engine par --shards 4 diverged from testdata/pmstat_default_system256_seed1.golden:" >&2
-    diff testdata/pmstat_default_system256_seed1.golden "$bindir/pmstat.out" >&2 || true
     exit 1
 fi
 

@@ -38,16 +38,17 @@
 // --engine selects the event engine: seq runs every degradation row on
 // the sequential scheduler, par gives each row its own shard of the
 // internal/psim parallel engine. The two are byte-identical by
-// construction — CI runs the goldens under both.
+// construction — main_test.go runs the goldens under both.
 //
 // stdout is a pure function of the flags: two runs with identical flags
-// are byte-identical. CI pins `--campaign link-cut --seed 1` and
-// `--campaign heat-linkcut --seed 1` against golden tables in testdata/.
+// are byte-identical. main_test.go pins every pmfault golden in
+// testdata/ (tables and --metrics dumps) against its command line.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"powermanna/internal/fault"
@@ -58,55 +59,77 @@ import (
 	"powermanna/internal/traffic"
 )
 
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
 // printMetrics appends the registry dump to the campaign output;
 // a nil registry (no --metrics) prints nothing.
-func printMetrics(reg *metrics.Registry) {
+func printMetrics(w io.Writer, reg *metrics.Registry) {
 	if reg != nil {
-		fmt.Println()
-		fmt.Print(reg.Render())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, reg.Render())
 	}
 }
 
-func main() {
+// run parses args, runs the selected campaign or sweep and writes its
+// report to stdout. It returns the process exit code: 0 on success, 1
+// on a bad value or a failed run (with the reason on stderr), 2 on a
+// malformed command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmfault", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		campaignFlag = flag.String("campaign", "link-cut", "campaign name (see --list)")
-		seed         = flag.Int64("seed", fault.DefaultSeed, "seed for fault schedule and traffic")
-		topoFlag     = flag.String("topo", "cluster8", "topology: cluster8 or system256")
-		messages     = flag.Int("messages", fault.DefaultMessages, "messages per degradation row")
-		payload      = flag.Int("payload", fault.DefaultPayloadBytes, "payload bytes per message")
-		windowUS     = flag.Int64("window-us", int64(fault.DefaultWindow/sim.Microsecond), "simulated span in microseconds traffic spreads over")
-		metricsFlag  = flag.Bool("metrics", false, "append the highest-rate row's metrics dump (latency/detection histograms, send outcomes, arb waits)")
-		engineFlag   = flag.String("engine", "seq", "event engine: seq (sequential) or par (one psim shard per degradation row; byte-identical output)")
-		shardsFlag   = flag.Int("shards", 0, "psim shard count for partitioned app workloads under --engine par (0 = 1; must align with the topology's leaf groups)")
-		trafficFlag  = flag.Bool("traffic", false, "run the open-loop multi-tenant traffic sweep instead of a campaign (per-tenant SLO percentiles per fault count)")
-		mixFlag      = flag.String("mix", "default", "tenant mix for --traffic (see pmtraffic --list)")
-		listOnly     = flag.Bool("list", false, "list campaign names and exit")
+		campaignFlag = fs.String("campaign", "link-cut", "campaign name (see --list)")
+		seed         = fs.Int64("seed", fault.DefaultSeed, "seed for fault schedule and traffic")
+		topoFlag     = fs.String("topo", "cluster8", "topology: cluster8 or system256")
+		messages     = fs.Int("messages", fault.DefaultMessages, "messages per degradation row")
+		payload      = fs.Int("payload", fault.DefaultPayloadBytes, "payload bytes per message")
+		windowUS     = fs.Int64("window-us", int64(fault.DefaultWindow/sim.Microsecond), "simulated span in microseconds traffic spreads over")
+		metricsFlag  = fs.Bool("metrics", false, "append the highest-rate row's metrics dump (latency/detection histograms, send outcomes, arb waits)")
+		engineFlag   = fs.String("engine", "seq", "event engine: seq (sequential) or par (one psim shard per degradation row; byte-identical output)")
+		shardsFlag   = fs.Int("shards", 0, "psim shard count for partitioned app workloads under --engine par (0 = 1; must align with the topology's leaf groups)")
+		trafficFlag  = fs.Bool("traffic", false, "run the open-loop multi-tenant traffic sweep instead of a campaign (per-tenant SLO percentiles per fault count)")
+		mixFlag      = fs.String("mix", "default", "tenant mix for --traffic (see pmtraffic --list)")
+		listOnly     = fs.Bool("list", false, "list campaign names and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "pmfault: %v\n", err)
+		return 1
+	}
 
 	engine, err := psim.ParseKind(*engineFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	if *listOnly {
 		for _, c := range fault.Campaigns() {
-			fmt.Printf("%-18s  %s\n", c.Name, c.Description)
+			fmt.Fprintf(stdout, "%-18s  %s\n", c.Name, c.Description)
 		}
 		for _, c := range fault.AppCampaigns() {
-			fmt.Printf("%-18s  %s\n", c.Name, c.Description)
+			fmt.Fprintf(stdout, "%-18s  %s\n", c.Name, c.Description)
 		}
-		return
+		return 0
 	}
 
 	// An unset --topo stays nil so a campaign's own default topology can
 	// apply (central-cut needs System256's central stage); an explicit
-	// flag always wins.
-	topoSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "topo" {
+	// flag always wins. An explicit --window-us, under --traffic, is the
+	// offered-load horizon.
+	topoSet, windowSet := false, false
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "topo":
 			topoSet = true
+		case "window-us":
+			windowSet = true
 		}
 	})
 	var t *topo.Topology
@@ -117,8 +140,7 @@ func main() {
 	case *topoFlag == "system256":
 		t = topo.System256()
 	default:
-		fmt.Fprintf(os.Stderr, "pmfault: unknown topology %q\n", *topoFlag)
-		os.Exit(1)
+		return fail(fmt.Errorf("unknown topology %q", *topoFlag))
 	}
 	opt := fault.Options{
 		Seed:         *seed,
@@ -135,50 +157,35 @@ func main() {
 		opt.Metrics = reg
 	}
 
+	var report interface{ Render() string }
 	if *trafficFlag {
 		mix, err := traffic.MixByName(*mixFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		// --window-us, when explicitly set, is the offered-load horizon;
-		// otherwise the traffic engine's default applies.
+		// Otherwise the traffic engine's default horizon applies.
 		var horizon sim.Time
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "window-us" {
-				horizon = opt.Window
-			}
-		})
-		res, err := fault.RunTraffic(mix, horizon, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
+		if windowSet {
+			horizon = opt.Window
 		}
-		fmt.Print(res.Render())
-		printMetrics(reg)
-		return
-	}
-
-	if c, ok := fault.CampaignByName(*campaignFlag); ok {
-		res, err := fault.Run(c, opt)
+		report, err = fault.RunTraffic(mix, horizon, opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Print(res.Render())
-		printMetrics(reg)
-		return
-	}
-	if c, ok := fault.AppCampaignByName(*campaignFlag); ok {
-		res, err := fault.RunApp(c, opt)
+	} else if c, ok := fault.CampaignByName(*campaignFlag); ok {
+		report, err = fault.Run(c, opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Print(res.Render())
-		printMetrics(reg)
-		return
+	} else if c, ok := fault.AppCampaignByName(*campaignFlag); ok {
+		report, err = fault.RunApp(c, opt)
+		if err != nil {
+			return fail(err)
+		}
+	} else {
+		return fail(fmt.Errorf("unknown campaign %q (try --list)", *campaignFlag))
 	}
-	fmt.Fprintf(os.Stderr, "pmfault: unknown campaign %q (try --list)\n", *campaignFlag)
-	os.Exit(1)
+	fmt.Fprint(stdout, report.Render())
+	printMetrics(stdout, reg)
+	return 0
 }

@@ -20,13 +20,14 @@
 // --campaign puts the named deterministic mid-run fault scenario under
 // the run (the same schedule the matching pmfault --traffic ladder row
 // draws). Output is a pure function of the flags and byte-identical
-// across --engine seq|par and aligned shard counts; CI pins the
-// System256 default-mix scenario under both engines.
+// across --engine seq|par and aligned shard counts; main_test.go pins
+// the System256 default-mix scenario under both engines.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -38,41 +39,60 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the traffic scenario and writes its telemetry
+// tables to stdout. It returns the process exit code: 0 on success, 1
+// on a bad value or a failed run (with the reason on stderr), 2 on a
+// malformed command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mixFlag      = flag.String("mix", "default", "tenant mix (see --list)")
-		runFlag      = flag.String("run", "", "run a single tenant of the mix in isolation")
-		campaignFlag = flag.String("campaign", "", "mid-run fault scenario: link-cut (empty = healthy machine)")
-		faultsFlag   = flag.Int("faults", 8, "fault count for --campaign")
-		topoFlag     = flag.String("topo", "cluster8", "topology: cluster8 or system256")
-		seed         = flag.Int64("seed", 1, "seed for arrival processes and the fault scenario")
-		horizonUS    = flag.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
-		windowUS     = flag.Int64("window-us", 0, "telemetry window width in microseconds (0 = horizon/32, rounded up to 1us)")
-		engineFlag   = flag.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
-		shardsFlag   = flag.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
-		formatFlag   = flag.String("format", "table", "output format: table or csv")
-		listOnly     = flag.Bool("list", false, "list mix names and exit")
+		mixFlag      = fs.String("mix", "default", "tenant mix (see --list)")
+		runFlag      = fs.String("run", "", "run a single tenant of the mix in isolation")
+		campaignFlag = fs.String("campaign", "", "mid-run fault scenario: link-cut (empty = healthy machine)")
+		faultsFlag   = fs.Int("faults", 8, "fault count for --campaign")
+		topoFlag     = fs.String("topo", "cluster8", "topology: cluster8 or system256")
+		seed         = fs.Int64("seed", 1, "seed for arrival processes and the fault scenario")
+		horizonUS    = fs.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
+		windowUS     = fs.Int64("window-us", 0, "telemetry window width in microseconds (0 = horizon/32, rounded up to 1us)")
+		engineFlag   = fs.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
+		shardsFlag   = fs.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
+		formatFlag   = fs.String("format", "table", "output format: table or csv")
+		listOnly     = fs.Bool("list", false, "list mix names and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "pmstat: %v\n", err)
+		return 1
+	}
 
 	if *listOnly {
 		for _, m := range traffic.Mixes() {
-			fmt.Printf("%-10s  %s\n", m.Name, m.Description)
+			fmt.Fprintf(stdout, "%-10s  %s\n", m.Name, m.Description)
 		}
-		return
+		return 0
 	}
 
 	mix, err := traffic.MixByName(*mixFlag)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *runFlag != "" {
 		if mix, err = mix.Solo(*runFlag); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
 	engine, err := psim.ParseKind(*engineFlag)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	var t *topo.Topology
 	switch *topoFlag {
@@ -81,13 +101,13 @@ func main() {
 	case "system256":
 		t = topo.System256()
 	default:
-		fail(fmt.Errorf("unknown topology %q", *topoFlag))
+		return fail(fmt.Errorf("unknown topology %q", *topoFlag))
 	}
 	if *campaignFlag != "" && *campaignFlag != "link-cut" {
-		fail(fmt.Errorf("unknown campaign %q (want link-cut)", *campaignFlag))
+		return fail(fmt.Errorf("unknown campaign %q (want link-cut)", *campaignFlag))
 	}
 	if *formatFlag != "table" && *formatFlag != "csv" {
-		fail(fmt.Errorf("unknown format %q (want table or csv)", *formatFlag))
+		return fail(fmt.Errorf("unknown format %q (want table or csv)", *formatFlag))
 	}
 
 	horizon := sim.Time(*horizonUS) * sim.Microsecond
@@ -101,7 +121,7 @@ func main() {
 		Window:    sim.Time(*windowUS) * sim.Microsecond,
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	var events []fault.Event
 	if *campaignFlag != "" {
@@ -109,12 +129,12 @@ func main() {
 	}
 	res, err := eng.Run()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	if *formatFlag == "csv" {
-		fmt.Print(res.SeriesCSV())
-		return
+		fmt.Fprint(stdout, res.SeriesCSV())
+		return 0
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "### pmstat %s — %s\n", res.Mix.Name, res.Mix.Description)
@@ -133,10 +153,6 @@ func main() {
 	b.WriteString(res.BurnTable().Render())
 	b.WriteByte('\n')
 	b.WriteString(res.DecompTable().Render())
-	fmt.Print(b.String())
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "pmstat: %v\n", err)
-	os.Exit(1)
+	fmt.Fprint(stdout, b.String())
+	return 0
 }

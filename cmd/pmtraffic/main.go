@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"powermanna/internal/metrics"
@@ -33,34 +34,51 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the mix once and writes the service report to
+// stdout. It returns the process exit code: 0 on success, 1 on a bad
+// value or a failed run (with the reason on stderr), 2 on a malformed
+// command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmtraffic", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mixFlag     = flag.String("mix", "default", "tenant mix (see --list)")
-		topoFlag    = flag.String("topo", "cluster8", "topology: cluster8 or system256")
-		seed        = flag.Int64("seed", 1, "seed for every arrival process")
-		horizonUS   = flag.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
-		engineFlag  = flag.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
-		shardsFlag  = flag.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
-		metricsFlag = flag.Bool("metrics", false, "append the run's full metrics dump")
-		listOnly    = flag.Bool("list", false, "list mix names and exit")
+		mixFlag     = fs.String("mix", "default", "tenant mix (see --list)")
+		topoFlag    = fs.String("topo", "cluster8", "topology: cluster8 or system256")
+		seed        = fs.Int64("seed", 1, "seed for every arrival process")
+		horizonUS   = fs.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
+		engineFlag  = fs.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
+		shardsFlag  = fs.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
+		metricsFlag = fs.Bool("metrics", false, "append the run's full metrics dump")
+		listOnly    = fs.Bool("list", false, "list mix names and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "pmtraffic: %v\n", err)
+		return 1
+	}
 
 	if *listOnly {
 		for _, m := range traffic.Mixes() {
-			fmt.Printf("%-10s  %s\n", m.Name, m.Description)
+			fmt.Fprintf(stdout, "%-10s  %s\n", m.Name, m.Description)
 		}
-		return
+		return 0
 	}
 
 	mix, err := traffic.MixByName(*mixFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtraffic: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	engine, err := psim.ParseKind(*engineFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtraffic: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	var t *topo.Topology
 	switch *topoFlag {
@@ -69,8 +87,7 @@ func main() {
 	case "system256":
 		t = topo.System256()
 	default:
-		fmt.Fprintf(os.Stderr, "pmtraffic: unknown topology %q\n", *topoFlag)
-		os.Exit(1)
+		return fail(fmt.Errorf("unknown topology %q", *topoFlag))
 	}
 
 	var reg *metrics.Registry
@@ -86,17 +103,16 @@ func main() {
 		Metrics:  reg,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtraffic: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	res, err := eng.Run()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtraffic: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Print(res.Render())
+	fmt.Fprint(stdout, res.Render())
 	if reg != nil {
-		fmt.Println()
-		fmt.Print(reg.Render())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, reg.Render())
 	}
+	return 0
 }

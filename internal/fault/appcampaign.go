@@ -67,24 +67,21 @@ type AppCampaign struct {
 	// Rates is the fault-count sweep; the leading 0 row sizes the fault
 	// window and the inflation baseline.
 	Rates []int
-	// Workload runs the application over a fresh world and returns its
-	// makespan. It must also verify the computation's result — a fault
-	// campaign that silently returns wrong numbers proves nothing.
-	Workload func(w *mpl.World) (sim.Time, error)
-	// PartWorkload runs the application over the node-partitioned
-	// datapath (mpl.PWorld) instead of the legacy virtual-time world:
-	// rank goroutines, split-phase sends through psim mailboxes, and —
-	// under Options.Shards > 1 with the parallel engine — real
-	// single-workload parallelism. Output is byte-identical at every
-	// aligned shard count. Partitioned rows carry no background OS
-	// stream (the lazy injector needs the global send order the
-	// partitioned path dissolves), so their os-msgs column reads 0.
+	// PartWorkload runs a message-passing application over a fresh
+	// node-partitioned world (mpl.PWorld) and returns its makespan: rank
+	// goroutines, split-phase sends through psim mailboxes, and — under
+	// Options.Shards > 1 with the parallel engine — real single-workload
+	// parallelism. Output is byte-identical at every aligned shard count.
+	// It must also verify the computation's result — a fault campaign
+	// that silently returns wrong numbers proves nothing. Partitioned
+	// rows carry no background OS stream (the lazy injector needs the
+	// global send order the partitioned path dissolves), so their
+	// os-msgs column reads 0.
 	PartWorkload func(w *mpl.PWorld) (sim.Time, error)
 	// EarthWorkload runs an EARTH-runtime program instead of a
-	// message-passing one; exactly one of Workload, PartWorkload and
-	// EarthWorkload is set. Like Workload it must verify its result, and
-	// it must surface a lost token as an error (System.Err), never a
-	// panic.
+	// message-passing one; exactly one of PartWorkload and EarthWorkload
+	// is set. Like PartWorkload it must verify its result, and it must
+	// surface a lost token as an error (System.Err), never a panic.
 	EarthWorkload func(s *earth.System) (sim.Time, error)
 }
 
@@ -236,11 +233,10 @@ type appOutcome struct {
 // runs the workload and closes the accounting. EARTH workloads take
 // the row's engine as their own event queue (earth.NewWithEngine), so
 // under the parallel sweep the runtime's events live on the row's
-// shard heap; message-passing workloads advance rank clocks directly
-// and use the engine only as the row's execution slot. Partitioned
-// workloads own a nested psim engine (the PWorld's shards), so their
-// rows must run on a plain scheduler — RunApp keeps them off the
-// parallel-row path and lets the PWorld supply the parallelism.
+// shard heap. Message-passing workloads own a nested psim engine (the
+// PWorld's shards) and use the row's engine only as its execution slot,
+// so their rows must run on a plain scheduler — RunApp keeps them off
+// the parallel-row path and lets the PWorld supply the parallelism.
 func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline sim.Time, eng sim.Engine, out *appOutcome) {
 	eng.At(0, func() {
 		var runW func() (sim.Time, error)
@@ -250,8 +246,7 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 		plane := func(p int) netsim.PlaneCounters { return net.Plane(p) }
 		counters := func(p int) stats.CounterSet { return net.PlaneCounterSet(p) }
 		osStream := true
-		switch {
-		case c.EarthWorkload != nil:
+		if c.EarthWorkload != nil {
 			s := earth.NewWithEngine(opt.Topology, earth.DefaultParams(), netsim.DefaultFailover(), eng)
 			net = s.Network()
 			runW = func() (sim.Time, error) { return c.EarthWorkload(s) }
@@ -259,7 +254,7 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 			// instruments come along with the network's.
 			setMetrics = func(m *metrics.Registry) { s.SetMetrics(m) }
 			setRecorder = func() { net.SetRecorder(opt.Trace) }
-		case c.PartWorkload != nil:
+		} else {
 			shards := 1
 			if opt.Engine == psim.Par {
 				shards = opt.Shards
@@ -283,14 +278,6 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 			// No background OS stream: the lazy injector needs the global
 			// send order, which the partitioned split-phase path dissolves.
 			osStream = false
-		default:
-			w := mpl.NewWorldWith(opt.Topology, netsim.DefaultFailover())
-			net = w.Network()
-			runW = func() (sim.Time, error) { return c.Workload(w) }
-			// Message-passing workloads attach through the world so the
-			// mpl.* receive-wait view comes along with the network's.
-			setMetrics = func(m *metrics.Registry) { w.SetMetrics(m) }
-			setRecorder = func() { net.SetRecorder(opt.Trace) }
 		}
 		if osStream {
 			net.AttachOSStream(netsim.DefaultOSStream())

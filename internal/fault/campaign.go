@@ -415,6 +415,12 @@ func Run(c Campaign, opt Options) (*Result, error) {
 	if len(c.Rates) == 0 || len(c.Kinds) == 0 {
 		return nil, fmt.Errorf("fault: campaign %q has no rates or kinds", c.Name)
 	}
+	if opt.Messages < 0 {
+		return nil, fmt.Errorf("fault: negative message count %d", opt.Messages)
+	}
+	if opt.Window < 0 {
+		return nil, fmt.Errorf("fault: negative traffic window %v", opt.Window)
+	}
 	res := &Result{Campaign: c, Options: opt}
 	cfg := netsim.DefaultFailover()
 	outs := make([]rateOutcome, len(c.Rates))

@@ -9,6 +9,7 @@ import (
 	"powermanna/internal/netsim"
 	"powermanna/internal/sim"
 	"powermanna/internal/topo"
+	"powermanna/internal/traffic"
 )
 
 // TestCampaignDeterminism is the campaign half of the determinism
@@ -41,8 +42,8 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 // TestGoldenTable pins the default link-cut campaign against the same
-// golden file ci.sh compares cmd/pmfault stdout to — cmd/pmfault prints
-// exactly Result.Render(), so drift is caught by `go test` alone.
+// golden file cmd/pmfault's tests compare its stdout to — cmd/pmfault
+// prints exactly Result.Render(), so drift is caught in this package too.
 func TestGoldenTable(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "pmfault_link-cut_seed1.golden")
 	want, err := os.ReadFile(golden)
@@ -56,6 +57,43 @@ func TestGoldenTable(t *testing.T) {
 	}
 	if got := r.Render(); got != string(want) {
 		t.Errorf("campaign output diverged from %s;\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestRunRejectsNegativeTrafficShape checks that a negative message
+// count, traffic window or traffic-sweep horizon is an error, not a
+// panic deep in traffic or fault-schedule generation (or a silent
+// default); zero still selects the default.
+func TestRunRejectsNegativeTrafficShape(t *testing.T) {
+	c, _ := CampaignByName("link-cut")
+	cases := []struct {
+		name    string
+		opt     Options
+		wantErr string
+	}{
+		{"negative-messages", Options{Messages: -5}, "negative message count -5"},
+		{"negative-window", Options{Window: -3 * sim.Microsecond}, "negative traffic window"},
+		{"both-negative", Options{Messages: -1, Window: -1}, "negative message count -1"},
+		{"zero-means-default", Options{Messages: 0, Window: 0}, ""},
+	}
+	if _, err := RunTraffic(traffic.DefaultMix(), -sim.Microsecond, Options{Seed: 1}); err == nil ||
+		!strings.Contains(err.Error(), "negative traffic horizon") {
+		t.Errorf("RunTraffic with a negative horizon: error %v, want a negative-horizon error", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opt.Seed = 1
+			r, err := Run(c, tc.opt)
+			if tc.wantErr == "" {
+				if err != nil || r == nil {
+					t.Fatalf("Run: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Run error = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
@@ -206,7 +244,7 @@ func TestAppCampaignDegradation(t *testing.T) {
 }
 
 // TestAppCampaignGolden pins heat-linkcut at seed 1 against the golden
-// ci.sh compares cmd/pmfault stdout to.
+// cmd/pmfault's tests compare its stdout to.
 func TestAppCampaignGolden(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "pmfault_heat-linkcut_seed1.golden")
 	want, err := os.ReadFile(golden)

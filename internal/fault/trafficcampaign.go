@@ -56,10 +56,14 @@ type TrafficResult struct {
 // and keeps the full per-tenant service report. Rows run sequentially —
 // each row's engine supplies its own parallelism under Options.Engine
 // == psim.Par — and the output is byte-identical across engines and
-// aligned shard counts. A zero horizon means traffic.DefaultHorizon.
+// aligned shard counts. A zero horizon means traffic.DefaultHorizon; a
+// negative one is an error.
 func RunTraffic(mix traffic.Mix, horizon sim.Time, opt Options) (*TrafficResult, error) {
 	opt = opt.resolved()
-	if horizon <= 0 {
+	if horizon < 0 {
+		return nil, fmt.Errorf("fault: negative traffic horizon %v", horizon)
+	}
+	if horizon == 0 {
 		horizon = traffic.DefaultHorizon
 	}
 	res := &TrafficResult{Mix: mix, Options: opt, Horizon: horizon, Rates: trafficRates}

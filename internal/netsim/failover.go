@@ -28,14 +28,24 @@
 //   - a send FIFO stalled beyond SetupTimeout is abandoned without ever
 //     entering the network — the driver polls the status register
 //     (Section 3.3) and can tell the interface is wedged.
+//
+// The whole policy — plane order, plane-down cache skips, verdict
+// accounting, the Delivery and its Decomp — lives in one type,
+// protocol. Two executors drive it and differ only in how an attempt
+// crosses the network: Transport.sendWith runs each attempt as one
+// synchronous Network.send call, and psend (psend.go) runs it as a
+// split-phase walk through the partitioned network.
 package netsim
 
 import (
 	"fmt"
 
+	"powermanna/internal/metrics"
+	"powermanna/internal/ni"
 	"powermanna/internal/sim"
 	"powermanna/internal/stats"
 	"powermanna/internal/topo"
+	"powermanna/internal/trace"
 )
 
 // Calibrated failover-protocol constants. The paper's system-level bound
@@ -287,4 +297,354 @@ func errorsAs(err error, target **DownError) bool {
 		*target = d
 	}
 	return ok
+}
+
+// sendSink is where one executor's protocol bookkeeping lands: the
+// degraded-mode counters, metrics instruments and trace recorder of the
+// synchronous Network or of one partitioned shard.
+type sendSink struct {
+	planes *[ni.LinksPerNode]PlaneCounters
+	met    *netInstruments
+	rec    *trace.Recorder
+	// tenantLat and tenantWait, when set, additionally receive a labelled
+	// send's delivered latency and its decomposition.
+	tenantLat  *metrics.Histogram
+	tenantWait *[4]*metrics.Histogram
+}
+
+// sendState threads one reliable send's accounting through its plane
+// attempts: the sender-observed clock and the attempt/skip tallies.
+type sendState struct {
+	// at is the requested entry time; elapsed accumulates every
+	// detection window, status check and backoff since.
+	at, elapsed sim.Time
+	// detect and retry split elapsed for the latency decomposition:
+	// detection windows (ack timeouts, NACK returns, stall abandons,
+	// plane-down status checks) versus backoff pauses. Every update to
+	// elapsed maintains elapsed == detect + retry, which is what makes
+	// Decomp sum to Latency() exactly.
+	detect, retry sim.Time
+	attempts      int
+	// maxAttempts is the resolved real-attempt budget; crcLeft the
+	// remaining same-plane re-sends the CRCRetries budget allows.
+	maxAttempts int
+	crcLeft     int
+	// skipped lists the planes pass 1 skipped on a plane-down cache hit,
+	// in skip order; nskipped counts them.
+	skipped  [ni.LinksPerNode]int
+	nskipped int
+	// hard marks planes ruled out by hard evidence (severed wire) —
+	// never worth a retry within this send.
+	hard [ni.LinksPerNode]bool
+}
+
+// attemptAt is the sender's clock for the next attempt.
+//
+//pmlint:hotpath
+func (st *sendState) attemptAt() sim.Time { return st.at + st.elapsed }
+
+// planeOrder is the preferred plane order: applications own plane A
+// (Section 4), plane B is the fallback.
+var planeOrder = [ni.LinksPerNode]int{topo.NetworkA, topo.NetworkB}
+
+// protocol is one reliable send under the failover policy. An executor
+// drives it in a loop — next picks the plane, enter starts the attempt,
+// the executor carries it across the network, and exactly one verdict
+// method (failed, nacked, delivered) reports how it ended — until
+// delivered returns the outcome or next runs dry and exhausted does.
+//
+// The cursor makes three passes. Pass 1 walks the preferred order,
+// skipping planes the plane-down cache marks dead for the price of a
+// status check. Pass 2 probes the skipped planes for real before any
+// budget goes to retries: the cache is a latency optimisation, never an
+// availability decision, so a send fails only after a real attempt on
+// every wired plane. Pass 3 keeps alternating planes without hard
+// evidence of death until MaxAttempts is spent, because congestion and
+// death are indistinguishable from the sender.
+type protocol struct {
+	sendState
+	tp           *Transport
+	src, dst     int
+	payloadBytes int
+	cfg          *FailoverConfig
+	sink         sendSink
+
+	// pass and idx are the cursor; roundStart is the attempt count when
+	// the current pass-3 round began (a round without attempts ends the
+	// send); again marks a same-plane CRC re-send as the next attempt.
+	pass, idx, roundStart int
+	again                 bool
+
+	// The current attempt: its plane and route, when the sender began it
+	// (start) and when the header entered the network (entry).
+	plane        int
+	path         topo.Path
+	start, entry sim.Time
+}
+
+// newProtocol starts one reliable send from the transport's node: the
+// resolved attempt budget (zero MaxAttempts means one real attempt per
+// wired plane) and the same-plane CRC re-send budget.
+func newProtocol(tp *Transport, at sim.Time, dst, payloadBytes int, cfg *FailoverConfig, sink sendSink) protocol {
+	ma := cfg.MaxAttempts
+	if ma <= 0 {
+		ma = ni.LinksPerNode
+	}
+	return protocol{
+		sendState: sendState{at: at, maxAttempts: ma, crcLeft: cfg.CRCRetries},
+		tp:        tp, src: tp.src, dst: dst, payloadBytes: payloadBytes,
+		cfg: cfg, sink: sink,
+	}
+}
+
+// next moves the cursor to the plane of the next attempt, charging the
+// plane-down cache skips on the way. False means every option is spent:
+// the executor reports exhausted.
+//
+//pmlint:hotpath
+func (p *protocol) next() bool {
+	if p.again {
+		p.again = false
+		return true
+	}
+	for p.attempts < p.maxAttempts {
+		switch p.pass {
+		case 0: // pass 1: preferred order, plane-down cache skips
+			if p.idx == len(planeOrder) {
+				p.pass, p.idx = 1, 0
+				continue
+			}
+			plane := planeOrder[p.idx]
+			p.idx++
+			if !p.skipDown(plane) {
+				p.plane = plane
+				return true
+			}
+		case 1: // pass 2: probe the skipped planes before burning retries
+			if p.idx == p.nskipped {
+				p.pass, p.idx, p.roundStart = 2, 0, p.attempts
+				continue
+			}
+			p.plane = p.skipped[p.idx]
+			p.idx++
+			return true
+		default: // pass 3: alternate soft-failed planes until the budget runs out
+			if p.idx == len(planeOrder) {
+				if p.attempts == p.roundStart {
+					return false // only hard-down or unwired planes remain
+				}
+				p.idx, p.roundStart = 0, p.attempts
+			}
+			plane := planeOrder[p.idx]
+			p.idx++
+			if !p.hard[plane] {
+				p.plane = plane
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// skipDown reports whether pass 1 passes over the plane because the
+// plane-down cache marks it dead. A wired plane skipped this way costs
+// only the cached status check, not the full detection window; an
+// unwired one is passed over for free.
+//
+//pmlint:hotpath
+func (p *protocol) skipDown(plane int) bool {
+	pd := &p.tp.down[plane]
+	if !pd.down || p.cfg.ReprobeInterval <= 0 || p.attemptAt() >= pd.reprobeAt {
+		return false
+	}
+	if _, err := p.tp.Route(p.dst, plane); err != nil {
+		return true // not wired: nothing to skip
+	}
+	p.sink.planes[plane].SkippedDown++
+	p.skipped[p.nskipped] = plane
+	p.nskipped++
+	if p.sink.rec.Enabled() {
+		p.sink.rec.InstantArg(trace.NodeTrack(p.src), "failover", "plane-down-hit",
+			p.attemptAt(), "plane "+planeName(plane))
+	}
+	p.elapsed += p.cfg.PlaneDownCheck
+	p.detect += p.cfg.PlaneDownCheck
+	return true
+}
+
+// enter starts a real attempt on the cursor's plane. It reports false
+// when there is nothing to carry across the network: the plane is not
+// wired (software knows at once, no cost), or the send FIFO stayed
+// wedged past SetupTimeout and the attempt was abandoned at the source.
+// On true, path and entry describe the attempt.
+//
+//pmlint:hotpath
+func (p *protocol) enter() bool {
+	path, err := p.tp.Route(p.dst, p.plane)
+	if err != nil {
+		return false
+	}
+	p.path, p.start = path, p.attemptAt()
+	pc := &p.sink.planes[p.plane]
+	p.attempts++
+	pc.Attempts++
+	p.entry = p.tp.net.nis[p.src].Links[p.plane].ReadyAt(p.start)
+	if p.entry > p.start {
+		pc.Stalled++
+	}
+	if p.cfg.SetupTimeout > 0 && p.entry > p.start+p.cfg.SetupTimeout {
+		// The send FIFO never drained: abandon the plane without entering
+		// the network.
+		pc.SetupTimeouts++
+		p.failOver(p.start+p.cfg.SetupTimeout, "fifo-stall")
+		return false
+	}
+	return true
+}
+
+// failed is the verdict of an attempt the network swallowed: a severed
+// wire (cut, hard evidence against the plane) or a circuit that never
+// formed. The sender learns of it at detected.
+//
+//pmlint:hotpath
+func (p *protocol) failed(detected sim.Time, cut bool) {
+	pc := &p.sink.planes[p.plane]
+	cause := "setup-timeout"
+	if cut {
+		pc.LinkDown++
+		p.hard[p.plane] = true
+		cause = "link-down"
+	} else {
+		pc.SetupTimeouts++
+	}
+	p.failOver(detected, cause)
+}
+
+// nacked is the verdict of an attempt the receiver's CRC check rejected,
+// the NACK reaching the sender at detected. A NACK proves the plane
+// carried the frame end to end — transient corruption, not a dead plane
+// — so the bounded same-plane budget is spent before the failover path
+// is charged.
+//
+//pmlint:hotpath
+func (p *protocol) nacked(detected sim.Time) {
+	if p.crcLeft > 0 && p.attempts < p.maxAttempts {
+		p.crcLeft--
+		p.sink.planes[p.plane].CRCRetries++
+		p.traceAttempt(detected, "crc-retry")
+		p.backOff(detected)
+		p.again = true
+		return
+	}
+	p.failOver(detected, "crc-nack")
+}
+
+// failOver abandons the current plane for this send: the plane-down
+// cache marks it dead, and the sender backs off before the next plane.
+//
+//pmlint:hotpath
+func (p *protocol) failOver(detected sim.Time, cause string) {
+	p.sink.planes[p.plane].FailedOver++
+	p.tp.markDown(p.plane, detected, *p.cfg)
+	p.traceAttempt(detected, cause)
+	p.backOff(detected)
+}
+
+// backOff advances the sender's clock past a failed attempt: everything
+// from the attempt's start to its detection is detection time — for a
+// NACKed attempt its wire time too, since the transfer bought no
+// progress, only the NACK's evidence — then the retry backoff.
+//
+//pmlint:hotpath
+func (p *protocol) backOff(detected sim.Time) {
+	p.elapsed = detected + p.cfg.RetryBackoff - p.at
+	p.detect += detected - p.start
+	p.retry += p.cfg.RetryBackoff
+}
+
+// traceAttempt records one failed attempt: the detection window (start
+// to failure detection) into the metrics histogram, and — when tracing —
+// a span labelled with the cause ("fifo-stall", "link-down",
+// "setup-timeout", "crc-retry", "crc-nack").
+//
+//pmlint:hotpath
+func (p *protocol) traceAttempt(detected sim.Time, cause string) {
+	p.sink.met.detection.ObserveTime(detected - p.start)
+	if p.sink.rec.Enabled() {
+		p.sink.rec.SpanArg(trace.NodeTrack(p.src), "failover", "attempt "+planeName(p.plane),
+			p.start, detected, cause)
+	}
+}
+
+// delivered is the verdict of an intact transit: the protocol is over.
+// The plane is known healthy again, and the latency splits exactly into
+// the attempt's contention and ideal wire time plus every earlier
+// detection window and backoff.
+//
+//pmlint:hotpath
+func (p *protocol) delivered(tr Transit) Delivery {
+	p.tp.down[p.plane] = planeDown{}
+	wire := p.tp.net.idealTransit(p.path, p.payloadBytes)
+	d := Delivery{
+		Transit:      tr,
+		Plane:        p.plane,
+		Attempts:     p.attempts,
+		Retried:      p.attempts > 1 || p.nskipped > 0,
+		SkippedDown:  p.nskipped,
+		PayloadBytes: p.payloadBytes,
+		Sent:         p.at,
+		Done:         tr.LastByte,
+		Decomp: Decomp{
+			Arb:    tr.LastByte - p.start - wire,
+			Wire:   wire,
+			Detect: p.detect,
+			Retry:  p.retry,
+		},
+	}
+	p.observe(d)
+	return d
+}
+
+// exhausted ends a send every option failed: the message is reported
+// failed, never silently dropped.
+//
+//pmlint:hotpath
+func (p *protocol) exhausted() Delivery {
+	if p.sink.rec.Enabled() {
+		p.sink.rec.InstantArg(trace.NodeTrack(p.src), "failover", "send-failed", p.attemptAt(),
+			fmt.Sprintf("%d->%d after %d attempts", p.src, p.dst, p.attempts)) //pmlint:allow hotpath trace-gated formatting on the all-planes-failed path
+	}
+	d := Delivery{Attempts: p.attempts, SkippedDown: p.nskipped, Failed: true,
+		PayloadBytes: p.payloadBytes, Sent: p.at, Done: p.attemptAt(),
+		Decomp: Decomp{Detect: p.detect, Retry: p.retry}}
+	p.observe(d)
+	return d
+}
+
+// observe tallies a finished send into the sink's instruments.
+//
+//pmlint:hotpath
+func (p *protocol) observe(d Delivery) {
+	p.sink.met.observeSend(d)
+	if d.Failed {
+		return
+	}
+	p.sink.tenantLat.ObserveTime(d.Latency())
+	if p.sink.tenantWait != nil {
+		observeDecomp(p.sink.tenantWait, d.Decomp)
+	}
+}
+
+// recordArrival is the receiver's half of a completed circuit: the
+// destination link interface counts the frame or its CRC error, and the
+// plane counters the delivery or the corruption, wherever the frame
+// lands.
+func recordArrival(lif *ni.LinkIF, pc *PlaneCounters, corrupt bool) {
+	if corrupt {
+		lif.RecordCRCError()
+		pc.CRCErrors++
+		return
+	}
+	lif.RecordFrame()
+	pc.Delivered++
 }

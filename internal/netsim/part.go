@@ -759,7 +759,7 @@ func (ps *partShard) processDst(l *pleg) {
 	case walkFailed:
 		// The suffix could not form. The partial circuit on this side
 		// holds until the teardown at the source's detection time; the
-		// counters for the failure land here, where it was discovered.
+		// source's protocol charges the failure when the verdict lands.
 		// The ack timeout anchors at the entry time, but when the circuit
 		// formation itself outlasted the ack window (a first-wire stall is
 		// exempt from the setup timeout), teardown cannot precede the
@@ -770,13 +770,6 @@ func (ps *partShard) processDst(l *pleg) {
 		if fl := res.at + rl.nackLatency; detected < fl {
 			detected = fl
 		}
-		pc := &ps.planes[rl.plane]
-		if res.cut {
-			pc.LinkDown++
-		} else {
-			pc.SetupTimeouts++
-		}
-		pc.FailedOver++
 		ps.claimPartial(res.wires, res.hops, detected, rl.plane)
 		kind := finTimeout
 		if res.cut {
@@ -789,15 +782,12 @@ func (ps *partShard) processDst(l *pleg) {
 	checks := append(append([]wireCheck(nil), rl.srcChecks...), wireChecksOf(res.wires)...)
 	ps.claimWires(res.wires, res.last)
 	ps.claimHops(res.hops, res.last, rl.plane)
-	lif := ps.pn.net.nis[rl.dst].Links[rl.plane]
-	pc := &ps.planes[rl.plane]
-	if corrupted(checks, res.last) {
+	bad := corrupted(checks, res.last)
+	recordArrival(ps.pn.net.nis[rl.dst].Links[rl.plane], &ps.planes[rl.plane], bad)
+	if bad {
 		// The CRC error is discovered (and counted) here; whether the
 		// sender spends a same-plane retry or fails over is decided on the
-		// source shard, which owns the send's budget — the failed-over and
-		// crc-retries counters land there (psend.finish).
-		lif.RecordCRCError()
-		pc.CRCErrors++
+		// source shard, which owns the send's budget (psend.finish).
 		ps.sendVerdict(rl, &finalizeMsg{
 			msgID: rl.msgID, kind: finCRC,
 			last: res.last, firstByte: res.first, setupDone: res.head,
@@ -805,8 +795,6 @@ func (ps *partShard) processDst(l *pleg) {
 		})
 		return
 	}
-	lif.RecordFrame()
-	pc.Delivered++
 	if fn := ps.pn.deliver; fn != nil {
 		src, dst, payload := rl.src, rl.dst, rl.payload
 		first, last := res.first, res.last

@@ -1,14 +1,15 @@
-// psend: the asynchronous, shard-resident form of the driver-level
-// failover protocol (Transport.sendProtocol). One psend drives one
-// reliable send through the same decision sequence as the synchronous
-// protocol — preferred plane order with plane-down cache skips, a probe
-// pass over skipped planes, then alternation until the attempt budget
-// runs out — but each real attempt is a split-phase walk through the
-// partitioned network instead of a synchronous Network.send call. The
-// timing formulas (entry stalls, setup timeouts, ack-timeout detection,
-// NACK return, backoff) are identical; only the execution is event-
-// driven, so attempts from many nodes interleave deterministically
-// across psim shards instead of serialising in program order.
+// psend: the split-phase executor of the driver-level failover
+// protocol. A psend drives the same protocol value the synchronous
+// Transport.sendWith drives (failover.go) — plane order, plane-down
+// cache, verdict accounting and the Delivery all live there — and owns
+// only what is truly split-phase: each real attempt is a walk through
+// the partitioned network instead of one Network.send call. Here live
+// the source half of that walk, its open holds, the hand-off of the
+// remote leg, the causality floor on source-side failures and the
+// verdicts returning from the destination shard (part.go runs the
+// destination half). Attempts from many nodes thus interleave
+// deterministically across psim shards instead of serialising in
+// program order, under the same timing formulas.
 package netsim
 
 import (
@@ -20,35 +21,20 @@ import (
 	"powermanna/internal/trace"
 )
 
-// psend is one in-flight reliable send's protocol driver. It lives on
-// the source node's shard; only finalize verdicts (plain data through
+// psend is one in-flight reliable send's split-phase executor. It lives
+// on the source node's shard; only finalize verdicts (plain data through
 // psim mailboxes) reach it from other shards.
 type psend struct {
-	pn           *PartNetwork
-	ps           *partShard
-	tp           *Transport
-	src, dst     int
-	payloadBytes int
-	payload      any
-	cfg          FailoverConfig
-	st           sendState
-	msgID        uint64
-	// tenant indexes the shard's per-tenant latency histograms
-	// (SetTenants); -1 on unlabelled sends.
-	tenant int
-	onDone func(Delivery)
+	pn      *PartNetwork
+	ps      *partShard
+	pr      protocol
+	payload any
+	msgID   uint64
+	onDone  func(Delivery)
 
-	// Protocol cursor: which pass and plane the driver will try next.
-	phase         int
-	idx           int
-	pass3Progress bool
-
-	// Current attempt, valid while a walk or verdict is pending.
-	curPlane     int
-	curPath      topo.Path
+	// The current attempt's split point and on-wire length, valid while
+	// a walk or verdict is pending.
 	curSplit     int
-	curEntry     sim.Time
-	curAttemptAt sim.Time
 	curWireBytes int
 	// Source-half claims of a split attempt, held open until the verdict.
 	openKeys []resKey
@@ -92,162 +78,52 @@ func (pn *PartNetwork) sendAsync(tenant, src, dst, payloadBytes int, payload any
 		at = t
 	}
 	pn.msgSeq[src]++
-	p := &psend{
-		pn: pn, ps: ps, tp: pn.tps[src],
-		src: src, dst: dst,
-		payloadBytes: payloadBytes, payload: payload,
-		cfg:    pn.tps[src].cfg,
-		msgID:  uint64(src)<<32 | uint64(pn.msgSeq[src]),
-		tenant: tenant,
-		onDone: onDone,
-		phase:  1,
+	sink := sendSink{planes: &ps.planes, met: &ps.met, rec: ps.rec}
+	if tenant >= 0 && tenant < len(ps.met.tenantLat) {
+		sink.tenantLat, sink.tenantWait = ps.met.tenantLat[tenant], &ps.met.tenantWait[tenant]
 	}
-	p.st = newSendState(at, p.cfg)
-	p.step()
+	tp := pn.tps[src]
+	p := &psend{
+		pn: pn, ps: ps,
+		pr:      newProtocol(tp, at, dst, payloadBytes, &tp.cfg, sink),
+		payload: payload,
+		msgID:   uint64(src)<<32 | uint64(pn.msgSeq[src]),
+		onDone:  onDone,
+	}
+	p.launch()
 	return nil
 }
 
-// step advances the protocol cursor to the next attempt (or the final
-// failure), mirroring sendProtocol's three passes. It returns when an
-// attempt's walk is buffered — its completion re-enters step — or when
-// the protocol is over.
-func (p *psend) step() {
-	planes := [2]int{topo.NetworkA, topo.NetworkB}
-	for {
-		switch p.phase {
-		case 1: // preferred order, plane-down cache skips
-			if p.idx >= len(planes) {
-				p.phase, p.idx = 2, 0
-				continue
-			}
-			plane := planes[p.idx]
-			p.idx++
-			if p.st.attempts >= p.st.maxAttempts {
-				p.phase = 4
-				continue
-			}
-			if pd := &p.tp.down[plane]; pd.down && p.cfg.ReprobeInterval > 0 && p.st.attemptAt() < pd.reprobeAt {
-				if _, err := p.tp.Route(p.dst, plane); err != nil {
-					continue // not wired: nothing to skip
-				}
-				p.ps.planes[plane].SkippedDown++
-				p.st.skipped = append(p.st.skipped, plane)
-				if p.ps.rec.Enabled() {
-					p.ps.rec.InstantArg(trace.NodeTrack(p.src), "failover", "plane-down-hit",
-						p.st.attemptAt(), "plane "+planeName(plane))
-				}
-				p.st.elapsed += p.cfg.PlaneDownCheck
-				p.st.detect += p.cfg.PlaneDownCheck
-				continue
-			}
-			if p.launch(plane) {
-				return
-			}
-		case 2: // probe the skipped planes before burning retries
-			if p.idx >= len(p.st.skipped) {
-				p.phase, p.idx, p.pass3Progress = 3, 0, false
-				continue
-			}
-			plane := p.st.skipped[p.idx]
-			p.idx++
-			if p.st.attempts >= p.st.maxAttempts {
-				p.phase = 4
-				continue
-			}
-			if p.launch(plane) {
-				return
-			}
-		case 3: // alternate soft-failed planes until the budget runs out
-			if p.st.attempts >= p.st.maxAttempts {
-				p.phase = 4
-				continue
-			}
-			if p.idx >= len(planes) {
-				if !p.pass3Progress {
-					p.phase = 4
-					continue
-				}
-				p.idx, p.pass3Progress = 0, false
-				continue
-			}
-			plane := planes[p.idx]
-			p.idx++
-			if p.st.hard[plane] {
-				continue
-			}
-			if p.launch(plane) {
-				return
-			}
-		default: // exhausted: every option failed
-			if p.ps.rec.Enabled() {
-				p.ps.rec.InstantArg(trace.NodeTrack(p.src), "failover", "send-failed", p.st.attemptAt(),
-					fmt.Sprintf("%d->%d after %d attempts", p.src, p.dst, p.st.attempts))
-			}
-			d := Delivery{
-				Attempts: p.st.attempts, SkippedDown: len(p.st.skipped),
-				Failed: true, PayloadBytes: p.payloadBytes,
-				Sent: p.st.at, Done: p.st.attemptAt(),
-				Decomp: Decomp{Detect: p.st.detect, Retry: p.st.retry},
-			}
-			p.ps.met.observeSend(d)
-			p.onDone(d)
-			return
+// launch starts the protocol's next attempt as a buffered walk, or ends
+// the send when the protocol has no option left. Attempts that never
+// reach the network (unwired plane, FIFO-stall abandon) are settled by
+// the protocol on the spot.
+func (p *psend) launch() {
+	for p.pr.next() {
+		if !p.pr.enter() {
+			continue
 		}
+		p.ps.sent++
+		p.curSplit = p.pn.grain.Boundary(p.pr.path)
+		p.curWireBytes = wireBytesFor(p.pr.path, p.pr.payloadBytes)
+		p.ps.buffer(&pleg{msgID: p.msgID, p: p})
+		return
 	}
-}
-
-// launch starts one real attempt on a plane. It returns true when the
-// attempt's walk is buffered (the protocol resumes from its completion
-// events) and false when the protocol should move on now: the plane is
-// unwired, or the send FIFO never drained and the attempt was abandoned
-// before entering the network.
-func (p *psend) launch(plane int) bool {
-	attemptAt := p.st.attemptAt()
-	path, err := p.tp.Route(p.dst, plane)
-	if err != nil {
-		return false
-	}
-	pc := &p.ps.planes[plane]
-	p.st.attempts++
-	if p.phase == 3 {
-		p.pass3Progress = true
-	}
-	pc.Attempts++
-	entry := p.pn.net.nis[p.src].Links[plane].ReadyAt(attemptAt)
-	if entry > attemptAt {
-		pc.Stalled++
-	}
-	if p.cfg.SetupTimeout > 0 && entry > attemptAt+p.cfg.SetupTimeout {
-		pc.SetupTimeouts++
-		pc.FailedOver++
-		p.tp.markDown(plane, attemptAt+p.cfg.SetupTimeout, p.cfg)
-		p.traceAttempt(plane, attemptAt, attemptAt+p.cfg.SetupTimeout, "fifo-stall")
-		p.st.elapsed += p.cfg.SetupTimeout + p.cfg.RetryBackoff
-		p.st.detect += p.cfg.SetupTimeout
-		p.st.retry += p.cfg.RetryBackoff
-		return false
-	}
-	p.ps.sent++
-	p.curPlane, p.curPath = plane, path
-	p.curSplit = p.pn.grain.Boundary(path)
-	p.curEntry, p.curAttemptAt = entry, attemptAt
-	p.curWireBytes = wireBytesFor(path, p.payloadBytes)
-	p.ps.buffer(&pleg{msgID: p.msgID, p: p})
-	return true
+	p.onDone(p.pr.exhausted())
 }
 
 // processSrc runs the source half of the current attempt's walk when
 // its canonical drain fires.
 func (ps *partShard) processSrc(l *pleg) {
 	p := l.p
-	res := ps.walk(l, p.curPath, p.curSplit, false, p.curEntry, p.curWireBytes, p.cfg.SetupTimeout)
+	res := ps.walk(l, p.pr.path, p.curSplit, false, p.pr.entry, p.curWireBytes, p.pr.cfg.SetupTimeout)
 	switch res.outcome {
 	case walkParked:
 		return
 	case walkFailed:
 		p.srcFailed(res)
 	default:
-		if p.curSplit < len(p.curPath.Hops) {
+		if p.curSplit < len(p.pr.path.Hops) {
 			p.srcSplit(res)
 		} else {
 			p.srcComplete(res)
@@ -260,17 +136,7 @@ func (ps *partShard) processSrc(l *pleg) {
 // through the ack timeout; the partial circuit the header built holds
 // until that teardown — the contention a failed wormhole really causes.
 func (p *psend) srcFailed(res walkRes) {
-	pc := &p.ps.planes[p.curPlane]
-	cause := "setup-timeout"
-	if res.cut {
-		pc.LinkDown++
-		p.st.hard[p.curPlane] = true
-		cause = "link-down"
-	} else {
-		pc.SetupTimeouts++
-	}
-	pc.FailedOver++
-	detected := p.curEntry + p.cfg.AckTimeout
+	detected := p.pr.entry + p.pr.cfg.AckTimeout
 	if now := p.ps.sh.Now(); detected < now {
 		// The attempt parked behind an open circuit past its own ack
 		// timeout: the failure is established only once the blocking
@@ -280,13 +146,9 @@ func (p *psend) srcFailed(res walkRes) {
 		// its split legs would post into other shards' pasts.
 		detected = now
 	}
-	p.ps.claimPartial(res.wires, res.hops, detected, p.curPlane)
-	p.tp.markDown(p.curPlane, detected, p.cfg)
-	p.traceAttempt(p.curPlane, p.curAttemptAt, detected, cause)
-	p.st.elapsed = detected + p.cfg.RetryBackoff - p.st.at
-	p.st.detect += detected - p.curAttemptAt
-	p.st.retry += p.cfg.RetryBackoff
-	p.step()
+	p.ps.claimPartial(res.wires, res.hops, detected, p.pr.plane)
+	p.pr.failed(detected, res.cut)
+	p.launch()
 }
 
 // srcSplit hands a cross-group attempt to the destination's half: the
@@ -299,17 +161,18 @@ func (p *psend) srcSplit(res walkRes) {
 	p.srcWires, p.srcHops = res.wires, res.hops
 	p.openKeys = ps.holdOpen(p.msgID, &res)
 	ps.inflight[p.msgID] = p
+	cfg := p.pr.cfg
 	rl := &remoteLeg{
-		msgID: p.msgID, src: p.src, dst: p.dst, plane: p.curPlane,
-		path: p.curPath, split: p.curSplit,
-		head: res.head, entry: p.curEntry,
-		wireBytes: p.curWireBytes, payloadBytes: p.payloadBytes,
-		setupTimeout: p.cfg.SetupTimeout, ackTimeout: p.cfg.AckTimeout,
-		nackLatency: p.cfg.NackLatency,
+		msgID: p.msgID, src: p.pr.src, dst: p.pr.dst, plane: p.pr.plane,
+		path: p.pr.path, split: p.curSplit,
+		head: res.head, entry: p.pr.entry,
+		wireBytes: p.curWireBytes, payloadBytes: p.pr.payloadBytes,
+		setupTimeout: cfg.SetupTimeout, ackTimeout: cfg.AckTimeout,
+		nackLatency: cfg.NackLatency,
 		srcChecks:   wireChecksOf(res.wires),
 		payload:     p.payload,
 	}
-	dstShard := p.pn.part.NodeShard(p.dst)
+	dstShard := p.pn.part.NodeShard(p.pr.dst)
 	if dstShard == ps.id {
 		ps.sh.At(res.head, func() { ps.acceptRemote(rl) })
 		return
@@ -318,140 +181,66 @@ func (p *psend) srcSplit(res walkRes) {
 }
 
 // srcComplete finishes an intra-group attempt whose whole circuit lives
-// on one shard: claim it, render the CRC verdict, and either deliver or
-// retry — the legacy path's semantics, under canonical-drain ordering.
+// on one shard: claim it, render the CRC verdict, and hand it to the
+// protocol — the legacy path's semantics, under canonical-drain ordering.
 func (p *psend) srcComplete(res walkRes) {
 	ps := p.ps
+	plane := p.pr.plane
 	bad := corrupted(wireChecksOf(res.wires), res.last)
 	ps.claimWires(res.wires, res.last)
-	ps.claimHops(res.hops, res.last, p.curPlane)
-	p.recordMsgSpans(p.curEntry, res.head, res.last, bad)
-	lif := p.pn.net.nis[p.dst].Links[p.curPlane]
-	pc := &ps.planes[p.curPlane]
+	ps.claimHops(res.hops, res.last, plane)
+	p.recordMsgSpans(p.pr.entry, res.head, res.last, bad)
+	recordArrival(p.pn.net.nis[p.pr.dst].Links[plane], &ps.planes[plane], bad)
 	if bad {
-		lif.RecordCRCError()
-		pc.CRCErrors++
-		detected := res.last + p.cfg.NackLatency
-		p.st.elapsed = detected + p.cfg.RetryBackoff - p.st.at
-		// The whole corrupt attempt counts as detection (see tryPlane).
-		p.st.detect += detected - p.curAttemptAt
-		p.st.retry += p.cfg.RetryBackoff
-		if p.retryCRC(detected) {
-			return
-		}
-		pc.FailedOver++
-		p.tp.markDown(p.curPlane, detected, p.cfg)
-		p.traceAttempt(p.curPlane, p.curAttemptAt, detected, "crc-nack")
-		p.step()
+		p.pr.nacked(res.last + p.pr.cfg.NackLatency)
+		p.launch()
 		return
 	}
-	lif.RecordFrame()
-	pc.Delivered++
 	if fn := p.pn.deliver; fn != nil {
-		src, dst, payload := p.src, p.dst, p.payload
+		src, dst, payload := p.pr.src, p.pr.dst, p.payload
 		first, last := res.first, res.last
 		ps.sh.At(res.last, func() { fn(src, dst, payload, first, last) })
 	}
-	p.deliverOutcome(Transit{
+	p.onDone(p.pr.delivered(Transit{
 		SetupDone: res.head, FirstByte: res.first, LastByte: res.last,
 		WireBytes: p.curWireBytes,
-	}, res.last)
+	}))
 }
 
-// finish applies the destination's verdict on the source shard.
+// finish applies the destination's verdict on the source shard: claim
+// or tear down the source half of the circuit, wake its parked walkers,
+// and hand the verdict to the protocol. The destination already counted
+// the arrival (recordArrival); the sender-side accounting — failovers,
+// retries, the plane-down cache — is the protocol's, on this shard,
+// which owns the send's budget.
 func (p *psend) finish(fm *finalizeMsg) {
 	ps := p.ps
+	until := fm.last
+	if fm.kind == finCut || fm.kind == finTimeout {
+		// The suffix never formed: the source half holds until the
+		// sender's detection.
+		until = fm.detected
+	}
+	ps.claimWires(p.srcWires, until)
+	ps.claimHops(p.srcHops, until, p.pr.plane)
+	ps.releaseOpen(p.openKeys)
 	switch fm.kind {
 	case finOK:
-		ps.claimWires(p.srcWires, fm.last)
-		ps.claimHops(p.srcHops, fm.last, p.curPlane)
-		ps.releaseOpen(p.openKeys)
-		p.recordMsgSpans(p.curEntry, fm.setupDone, fm.last, false)
-		p.deliverOutcome(Transit{
+		p.recordMsgSpans(p.pr.entry, fm.setupDone, fm.last, false)
+		p.onDone(p.pr.delivered(Transit{
 			SetupDone: fm.setupDone, FirstByte: fm.firstByte, LastByte: fm.last,
 			WireBytes: p.curWireBytes,
-		}, fm.last)
+		}))
 	case finCRC:
 		// The circuit completed and the body crossed it — the claims run
-		// to the last byte — but the destination NACKed the frame. The
-		// retry-or-failover decision is the sender's: only this shard
-		// holds the send's budget, so the destination counted the CRC
-		// error and the failed-over/retried split is charged here.
-		ps.claimWires(p.srcWires, fm.last)
-		ps.claimHops(p.srcHops, fm.last, p.curPlane)
-		ps.releaseOpen(p.openKeys)
-		p.recordMsgSpans(p.curEntry, fm.setupDone, fm.last, true)
-		p.st.elapsed = fm.detected + p.cfg.RetryBackoff - p.st.at
-		p.st.detect += fm.detected - p.curAttemptAt
-		p.st.retry += p.cfg.RetryBackoff
-		if p.retryCRC(fm.detected) {
-			return
-		}
-		ps.planes[p.curPlane].FailedOver++
-		p.tp.markDown(p.curPlane, fm.detected, p.cfg)
-		p.traceAttempt(p.curPlane, p.curAttemptAt, fm.detected, "crc-nack")
-		p.step()
-	default: // finCut, finTimeout: the suffix never formed
-		ps.claimWires(p.srcWires, fm.detected)
-		ps.claimHops(p.srcHops, fm.detected, p.curPlane)
-		ps.releaseOpen(p.openKeys)
-		cause := "setup-timeout"
-		if fm.kind == finCut {
-			p.st.hard[p.curPlane] = true
-			cause = "link-down"
-		}
-		p.tp.markDown(p.curPlane, fm.detected, p.cfg)
-		p.traceAttempt(p.curPlane, p.curAttemptAt, fm.detected, cause)
-		p.st.elapsed = fm.detected + p.cfg.RetryBackoff - p.st.at
-		p.st.detect += fm.detected - p.curAttemptAt
-		p.st.retry += p.cfg.RetryBackoff
-		p.step()
+		// to the last byte — but the destination NACKed the frame.
+		p.recordMsgSpans(p.pr.entry, fm.setupDone, fm.last, true)
+		p.pr.nacked(fm.detected)
+		p.launch()
+	default: // finCut, finTimeout
+		p.pr.failed(fm.detected, fm.kind == finCut)
+		p.launch()
 	}
-}
-
-// retryCRC spends one same-plane re-send from the CRCRetries budget on
-// a corrupt verdict, mirroring Transport.tryPlane's branch: the caller
-// has already advanced the sender clock (st.elapsed) past the NACK
-// return and backoff. It reports whether a retry was launched or the
-// protocol resumed — false means the budget is spent and the caller
-// charges the failover path.
-func (p *psend) retryCRC(detected sim.Time) bool {
-	if p.st.crcLeft <= 0 || p.st.attempts >= p.st.maxAttempts {
-		return false
-	}
-	p.st.crcLeft--
-	p.ps.planes[p.curPlane].CRCRetries++
-	p.traceAttempt(p.curPlane, p.curAttemptAt, detected, "crc-retry")
-	if !p.launch(p.curPlane) {
-		p.step()
-	}
-	return true
-}
-
-// deliverOutcome completes the protocol with a successful delivery.
-func (p *psend) deliverOutcome(tr Transit, done sim.Time) {
-	p.tp.down[p.curPlane] = planeDown{}
-	wire := p.pn.net.idealTransit(p.curPath, p.payloadBytes)
-	d := Delivery{
-		Transit: tr, Plane: p.curPlane,
-		Attempts:     p.st.attempts,
-		Retried:      p.st.attempts > 1 || len(p.st.skipped) > 0,
-		SkippedDown:  len(p.st.skipped),
-		PayloadBytes: p.payloadBytes,
-		Sent:         p.st.at, Done: done,
-		Decomp: Decomp{
-			Arb:    done - p.curAttemptAt - wire,
-			Wire:   wire,
-			Detect: p.st.detect,
-			Retry:  p.st.retry,
-		},
-	}
-	p.ps.met.observeSend(d)
-	if p.tenant >= 0 && p.tenant < len(p.ps.met.tenantLat) {
-		p.ps.met.tenantLat[p.tenant].ObserveTime(d.Latency())
-		observeDecomp(&p.ps.met.tenantWait[p.tenant], d.Decomp)
-	}
-	p.onDone(d)
 }
 
 // recordMsgSpans records the per-message spans the legacy send path
@@ -462,23 +251,13 @@ func (p *psend) recordMsgSpans(entry, setupDone, last sim.Time, bad bool) {
 	if !rec.Enabled() {
 		return
 	}
-	track := trace.NodeTrack(p.src)
+	track := trace.NodeTrack(p.pr.src)
 	rec.SpanArg(track, "netsim", "msg", entry, last,
-		fmt.Sprintf("%d->%d plane %s, %dB", p.src, p.dst, planeName(p.curPlane), p.payloadBytes))
+		fmt.Sprintf("%d->%d plane %s, %dB", p.pr.src, p.pr.dst, planeName(p.pr.plane), p.pr.payloadBytes))
 	rec.Span(track, "netsim", "setup", entry, setupDone)
 	rec.Span(track, "netsim", "stream", setupDone, last)
 	if bad {
 		rec.Instant(track, "netsim", "crc-corrupt", last)
-	}
-}
-
-// traceAttempt mirrors Transport.traceAttempt into the shard's own
-// instruments: the detection window histogram and the failover span.
-func (p *psend) traceAttempt(plane int, from, detected sim.Time, cause string) {
-	p.ps.met.detection.ObserveTime(detected - from)
-	if p.ps.rec.Enabled() {
-		p.ps.rec.SpanArg(trace.NodeTrack(p.src), "failover", "attempt "+planeName(plane),
-			from, detected, cause)
 	}
 }
 

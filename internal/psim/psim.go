@@ -6,8 +6,8 @@
 // at each barrier with a deterministic (time, source shard, post
 // order) tie-break, so a sharded run dispatches exactly the events a
 // sequential run would — trace, metrics and stdout stay byte-identical
-// to internal/sim's single queue. CI pins that equivalence by running
-// the pmfault/pmtrace goldens through both engines.
+// to internal/sim's single queue. The pmfault and pmtrace golden
+// tests pin that equivalence by running through both engines.
 //
 // The conservative contract: during a barrier round every shard may
 // freely execute events before the round's window end, because no

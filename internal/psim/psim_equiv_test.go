@@ -217,7 +217,7 @@ func partArtifacts(t *testing.T, shards int, seed int64, body func(w *mpl.PWorld
 // equivalence contract: one application, partitioned across psim shards
 // through the cross-shard mailboxes, must produce byte-identical
 // summaries and metrics dumps at every aligned shard count. This is the
-// property the ci.sh --engine par --shards 4 golden gate rests on,
+// property the pmfault --engine par --shards 4 golden gate rests on,
 // swept here across three workload shapes and three seeds.
 func TestPartitionedWorkloadEquivalence(t *testing.T) {
 	pingpong := func(w *mpl.PWorld, seed int64) error {
