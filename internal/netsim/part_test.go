@@ -120,22 +120,28 @@ type timedSend struct {
 }
 
 // sendRun is everything a multi-send sequence leaves behind: each
-// message's outcome, both planes' counters and the metrics dump.
+// message's outcome, both planes' counters, the metrics dump and the
+// timeline in trace.Merge's canonical order.
 type sendRun struct {
 	deliveries []Delivery
 	planes     [2]PlaneCounters
 	mets       string
+	events     []trace.Event
 }
 
 // legacySequence runs the sends in order through one network's
 // long-lived transports, so the plane-down cache carries state from
-// message to message.
-func legacySequence(t *testing.T, sends []timedSend, fault func(*Network)) sendRun {
+// message to message. A nil fault leaves the network clean.
+func legacySequence(t testing.TB, sends []timedSend, fault func(*Network)) sendRun {
 	t.Helper()
 	n := New(topo.System256())
 	reg := metrics.NewRegistry()
 	n.SetMetrics(reg)
-	fault(n)
+	rec := trace.NewRecorder()
+	n.SetRecorder(rec)
+	if fault != nil {
+		fault(n)
+	}
 	tps := map[int]*Transport{}
 	var run sendRun
 	for _, s := range sends {
@@ -152,12 +158,15 @@ func legacySequence(t *testing.T, sends []timedSend, fault func(*Network)) sendR
 	}
 	run.planes = [2]PlaneCounters{n.Plane(0), n.Plane(1)}
 	run.mets = reg.Render()
+	canon := trace.NewRecorder()
+	trace.Merge(canon, rec)
+	run.events = canon.Events()
 	return run
 }
 
 // partSequence runs the same sends through one partitioned network,
 // each issued by an event at its send time on the source's shard.
-func partSequence(t *testing.T, shards int, sends []timedSend, fault func(*Network)) sendRun {
+func partSequence(t testing.TB, shards int, sends []timedSend, fault func(*Network)) sendRun {
 	t.Helper()
 	pn, err := NewPartitioned(topo.System256(), shards, DefaultFailover())
 	if err != nil {
@@ -165,7 +174,11 @@ func partSequence(t *testing.T, shards int, sends []timedSend, fault func(*Netwo
 	}
 	reg := metrics.NewRegistry()
 	pn.SetMetrics(reg)
-	fault(pn.Network())
+	rec := trace.NewRecorder()
+	pn.SetRecorder(rec)
+	if fault != nil {
+		fault(pn.Network())
+	}
 	run := sendRun{deliveries: make([]Delivery, len(sends))}
 	done := make([]bool, len(sends))
 	for i, s := range sends {
@@ -186,15 +199,42 @@ func partSequence(t *testing.T, shards int, sends []timedSend, fault func(*Netwo
 	}
 	run.planes = [2]PlaneCounters{pn.Plane(0), pn.Plane(1)}
 	run.mets = reg.Render()
+	run.events = rec.Events()
 	return run
+}
+
+// diffRuns reports the first way two sequence runs disagree, or "".
+func diffRuns(got, want sendRun) string {
+	for i := range want.deliveries {
+		if got.deliveries[i] != want.deliveries[i] {
+			return fmt.Sprintf("send %d:\n got %+v\nwant %+v", i, got.deliveries[i], want.deliveries[i])
+		}
+	}
+	if got.planes != want.planes {
+		return fmt.Sprintf("plane counters:\n got %+v\nwant %+v", got.planes, want.planes)
+	}
+	if got.mets != want.mets {
+		return fmt.Sprintf("metrics diverged:\n got %s\nwant %s", got.mets, want.mets)
+	}
+	if len(got.events) != len(want.events) {
+		return fmt.Sprintf("trace length: got %d want %d", len(got.events), len(want.events))
+	}
+	for i := range want.events {
+		if got.events[i] != want.events[i] {
+			return fmt.Sprintf("trace event %d:\n got %+v\nwant %+v", i, got.events[i], want.events[i])
+		}
+	}
+	return ""
 }
 
 // TestPartitionedMultiSendMatchesLegacy pins the failover protocol
 // across message boundaries: a sequence of non-overlapping sends from
 // one node exercises the plane-down cache (skip, reprobe, recovery),
 // the both-planes-failed outcome, the FIFO-stall abandon, the CRC retry
-// budget and the end of the retry rounds on both executors. Every Delivery, both planes' counters
-// and the metrics dump must agree at every aligned shard count.
+// budget and the end of the retry rounds on both executors; two clean
+// cases pin the intra-group and the split cross-group walk. Every
+// Delivery, both planes' counters, the metrics dump and the canonical
+// timeline must agree at every aligned shard count.
 func TestPartitionedMultiSendMatchesLegacy(t *testing.T) {
 	lastWire := func(n *Network, src, dst int) (int, int) {
 		path, err := n.Topology().Route(src, dst, topo.NetworkA)
@@ -211,6 +251,14 @@ func TestPartitionedMultiSendMatchesLegacy(t *testing.T) {
 		// exercised checks the legacy run took the path the case pins.
 		exercised func(sendRun) bool
 	}{
+		{"clean-intra-group", nil,
+			[]timedSend{{0, 0, 5}},
+			func(r sendRun) bool { return r.deliveries[0].Attempts == 1 && !r.deliveries[0].Retried }},
+		{"clean-cross-group", nil,
+			[]timedSend{{0, 0, 13}, {10 * sim.Microsecond, 3, 120}},
+			func(r sendRun) bool {
+				return r.planes[0].Delivered == 2 && r.planes[0].Attempts == 2 && r.planes[1].Attempts == 0
+			}},
 		{"cache-skip-then-reprobe",
 			func(n *Network) { n.CutWire(0, topo.NetworkA, 100*sim.Nanosecond) },
 			[]timedSend{{0, 0, 13}, {50 * sim.Microsecond, 0, 13}, {100 * sim.Microsecond, 0, 5}, {400 * sim.Microsecond, 0, 13}},
@@ -258,17 +306,8 @@ func TestPartitionedMultiSendMatchesLegacy(t *testing.T) {
 		}
 		for _, shards := range system256Shards {
 			got := partSequence(t, shards, tc.sends, tc.fault)
-			for i := range want.deliveries {
-				if got.deliveries[i] != want.deliveries[i] {
-					t.Errorf("%s shards=%d send %d:\n got %+v\nwant %+v",
-						tc.name, shards, i, got.deliveries[i], want.deliveries[i])
-				}
-			}
-			if got.planes != want.planes {
-				t.Errorf("%s shards=%d plane counters:\n got %+v\nwant %+v", tc.name, shards, got.planes, want.planes)
-			}
-			if got.mets != want.mets {
-				t.Errorf("%s shards=%d metrics diverged:\n got %s\nwant %s", tc.name, shards, got.mets, want.mets)
+			if diff := diffRuns(got, want); diff != "" {
+				t.Errorf("%s shards=%d: %s", tc.name, shards, diff)
 			}
 		}
 	}
