@@ -175,8 +175,10 @@ type PlaneCounters struct {
 
 // PlaneCounterSet renders plane p's counters as an ordered
 // stats.CounterSet — the degraded-mode report of cmd/pmfault.
-func (n *Network) PlaneCounterSet(p int) stats.CounterSet {
-	c := n.planes[p]
+func (n *Network) PlaneCounterSet(p int) stats.CounterSet { return n.planes[p].counterSet(p) }
+
+// counterSet renders one plane's counters under its report title.
+func (c PlaneCounters) counterSet(p int) stats.CounterSet {
 	set := stats.CounterSet{Title: fmt.Sprintf("plane %s", planeName(p))}
 	set.Add("attempts", c.Attempts)
 	set.Add("delivered", c.Delivered)
@@ -190,6 +192,21 @@ func (n *Network) PlaneCounterSet(p int) stats.CounterSet {
 	set.Add("os-messages", c.OSMessages)
 	set.Add("os-dropped", c.OSDropped)
 	return set
+}
+
+// add sums o into c.
+func (c *PlaneCounters) add(o PlaneCounters) {
+	c.Attempts += o.Attempts
+	c.Delivered += o.Delivered
+	c.Stalled += o.Stalled
+	c.LinkDown += o.LinkDown
+	c.SetupTimeouts += o.SetupTimeouts
+	c.CRCErrors += o.CRCErrors
+	c.CRCRetries += o.CRCRetries
+	c.FailedOver += o.FailedOver
+	c.SkippedDown += o.SkippedDown
+	c.OSMessages += o.OSMessages
+	c.OSDropped += o.OSDropped
 }
 
 // Plane returns plane p's raw counters.
@@ -300,12 +317,9 @@ func errorsAs(err error, target **DownError) bool {
 }
 
 // sendSink is where one executor's protocol bookkeeping lands: the
-// degraded-mode counters, metrics instruments and trace recorder of the
-// synchronous Network or of one partitioned shard.
+// ledger of the synchronous Network or of one partitioned shard.
 type sendSink struct {
-	planes *[ni.LinksPerNode]PlaneCounters
-	met    *netInstruments
-	rec    *trace.Recorder
+	*ledger
 	// tenantLat and tenantWait, when set, additionally receive a labelled
 	// send's delivered latency and its decomposition.
 	tenantLat  *metrics.Histogram

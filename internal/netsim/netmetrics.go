@@ -81,24 +81,21 @@ func waitBuckets() []sim.Time {
 	return metrics.TimeBuckets(50*sim.Nanosecond, 2, 14) // 50 ns .. 409.6 µs
 }
 
-// waitHistograms resolves the four decomposition histograms under a
-// name prefix ending at the component (machine-wide instruments).
-func waitHistograms(m *metrics.Registry) [4]*metrics.Histogram {
+// waitHistograms resolves the four decomposition histograms under the
+// component names plus suffix: "" for the machine-wide instruments,
+// "."+name for a tenant's (netsim.send.wait.<component>.<name>).
+func waitHistograms(m *metrics.Registry, suffix string) [4]*metrics.Histogram {
 	var out [4]*metrics.Histogram
 	for i, comp := range waitComponents {
-		out[i] = m.TimeHistogram(MetricSendWaitPrefix+comp, waitBuckets())
+		out[i] = m.TimeHistogram(MetricSendWaitPrefix+comp+suffix, waitBuckets())
 	}
 	return out
 }
 
-// tenantWaitHistograms resolves one tenant's four decomposition
-// histograms (netsim.send.wait.<component>.<name>).
-func tenantWaitHistograms(m *metrics.Registry, name string) [4]*metrics.Histogram {
-	var out [4]*metrics.Histogram
-	for i, comp := range waitComponents {
-		out[i] = m.TimeHistogram(MetricSendWaitPrefix+comp+"."+name, waitBuckets())
-	}
-	return out
+// tenantHistograms resolves one tenant label's delivered-latency
+// histogram and its four decomposition histograms (all nil when m is).
+func tenantHistograms(m *metrics.Registry, name string) (*metrics.Histogram, [4]*metrics.Histogram) {
+	return m.TimeHistogram(MetricSendLatencyTenantPrefix+name, tenantLatencyBuckets()), waitHistograms(m, "."+name)
 }
 
 // observeDecomp feeds one delivered message's decomposition into a
@@ -137,20 +134,7 @@ type netInstruments struct {
 // costing the instrumented paths one nil check per observation.
 func (n *Network) SetMetrics(m *metrics.Registry) {
 	n.mreg = m
-	if m == nil {
-		n.met = netInstruments{}
-	} else {
-		n.met = netInstruments{
-			sends:         m.Counter(MetricSends),
-			delivered:     m.Counter(MetricDelivered),
-			failed:        m.Counter(MetricFailed),
-			retried:       m.Counter(MetricRetried),
-			planeDownHits: m.Counter(MetricPlaneDownHits),
-			sendLatency:   m.TimeHistogram(MetricSendLatency, latencyBuckets()),
-			detection:     m.TimeHistogram(MetricDetection, latencyBuckets()),
-			wait:          waitHistograms(m),
-		}
-	}
+	n.met = newNetInstruments(m)
 	planes := n.topo.CrossbarPlanes()
 	for i, x := range n.xbars {
 		label := ""
@@ -158,6 +142,21 @@ func (n *Network) SetMetrics(m *metrics.Registry) {
 			label = planeName(planes[i])
 		}
 		x.Metrics(m, label)
+	}
+}
+
+// newNetInstruments resolves the send path's instruments in m; a nil
+// registry yields the "metrics off" zero value.
+func newNetInstruments(m *metrics.Registry) netInstruments {
+	return netInstruments{
+		sends:         m.Counter(MetricSends),
+		delivered:     m.Counter(MetricDelivered),
+		failed:        m.Counter(MetricFailed),
+		retried:       m.Counter(MetricRetried),
+		planeDownHits: m.Counter(MetricPlaneDownHits),
+		sendLatency:   m.TimeHistogram(MetricSendLatency, latencyBuckets()),
+		detection:     m.TimeHistogram(MetricDetection, latencyBuckets()),
+		wait:          waitHistograms(m, ""),
 	}
 }
 

@@ -12,6 +12,10 @@
 //     message's close command passes, so concurrent messages contend
 //     exactly where the hardware would make them contend.
 //
+// That model lives once, in wormhole.go: Network.send runs it over a
+// whole path, and the partitioned executor (part.go, psend.go) over the
+// two halves of a split route.
+//
 // Endpoint FIFO effects (the four-line send/receive FIFOs of the link
 // interface) belong to the driver model in internal/comm; Transit assumes
 // the endpoints keep up, which holds for latency measurements and routed
@@ -48,22 +52,20 @@ type Network struct {
 	wires map[wireKey]*link.Wire
 	nis   []*ni.NI
 	sent  int64
-	// planes accumulates per-plane degraded-mode counters for the
-	// failover protocol (failover.go).
-	planes [ni.LinksPerNode]PlaneCounters
+	// ledger holds the synchronous sends' per-plane counters, metrics
+	// instruments and trace recorder (wormhole.go); the recorder is
+	// attached via SetRecorder, the instruments via SetMetrics.
+	ledger
+	// walkWires and walkHops are the header walk's claim buffers, reused
+	// by every synchronous send.
+	walkWires []wireClaim
+	walkHops  []hopClaim
 	// transports are the registered per-source send handles
 	// (transport.go); Reset clears their plane-down caches.
 	transports []*Transport
 	// os is the optional background system-software stream on plane B
 	// (osstream.go); nil when no stream is attached.
 	os *osStream
-	// rec, when non-nil, records the timeline of every send: message
-	// spans per source node, circuit holds per crossbar output and wire,
-	// failover attempts per transport. Attached via SetRecorder.
-	rec *trace.Recorder
-	// met holds the resolved metrics instruments the reliable-send path
-	// feeds (netmetrics.go); the zero value is the "metrics off" state.
-	met netInstruments
 	// mreg is the attached registry itself, kept so late labelling
 	// (Transport.SetTenant) can resolve additional instruments.
 	mreg *metrics.Registry
@@ -213,19 +215,13 @@ func (n *Network) Send(at sim.Time, path topo.Path, payloadBytes int) (Transit, 
 // send is Send with fault awareness: a positive setupTimeout bounds the
 // wait at any single busy resource (wire entry or crossbar output) before
 // the attempt is abandoned with a DownError, and severed wires on the
-// path abort the attempt outright.
-//
-// A positive failHold models the teardown of a failed attempt: the
-// partial circuit the header built stays claimed until at+failHold (the
-// sender's ack-timeout detection, when the driver gives up and the
-// switches reclaim the channels). Resources the header would only have
-// reached after that teardown are not claimed — the header never got
-// there. A zero failHold keeps the old behaviour: failed attempts claim
+// path abort the attempt outright. The partial circuit of a failed
+// attempt holds until teardown (see hold); a zero teardown claims
 // nothing (the raw Send API and the OS stream, which retries on its own
 // cadence).
 //
 //pmlint:hotpath
-func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeout, failHold sim.Time) (Transit, error) {
+func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeout, teardown sim.Time) (Transit, error) {
 	if payloadBytes < 0 {
 		return Transit{}, fmt.Errorf("netsim: negative payload")
 	}
@@ -235,98 +231,14 @@ func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeo
 		// Self-delivery: no network involved.
 		return Transit{SetupDone: at, FirstByte: at, LastByte: at, WireBytes: 0}, nil
 	}
-
-	byteTime := n.linkCfg.TransferTime(1)
-	bodyTime := n.linkCfg.TransferTime(wireBytes - len(path.RouteBytes))
-
-	wireClaims := make([]sendWireClaim, 0, len(path.Hops)+1)
-	hopClaims := make([]sendHopClaim, 0, len(path.Hops))
-
-	// Pass 1: header walk, peeking at free times.
-	head := at
-	fromDev, fromPort := path.Src, path.Network
-	remaining := wireBytes
-	for _, hop := range path.Hops {
-		w := n.wire(fromDev, fromPort, 0)
-		wStart := sim.Max(head, w.FreeAt())
-		if w.DeadAt(wStart) {
-			n.teardownPartial(wireClaims, hopClaims, at, failHold)
-			return Transit{}, &DownError{Plane: path.Network, Cut: true, At: wStart}
-		}
-		// The setup timeout does not cover the first wire: a wait there is
-		// the sender's own uplink draining earlier traffic, and the driver
-		// watches that progress through the status register (Section 3.3)
-		// instead of declaring the plane dead. A severed uplink is still
-		// caught by DeadAt above, a wedged NI by ReadyAt's stall windows.
-		if setupTimeout > 0 && len(wireClaims) > 0 && wStart-head > setupTimeout {
-			n.teardownPartial(wireClaims, hopClaims, at, failHold)
-			return Transit{}, &DownError{Plane: path.Network, At: head + setupTimeout}
-		}
-		wireClaims = append(wireClaims, sendWireClaim{w: w, start: wStart, bytes: remaining})
-		lat := n.linkCfg.PropagationDelay + byteTime
-		if hop.AsyncIn {
-			lat += n.trans.Latency
-		}
-		headArrive := wStart + lat
-		x := n.xbars[hop.Xbar]
-		setupStart := sim.Max(headArrive, x.OutputFreeAt(hop.Out))
-		if setupTimeout > 0 && setupStart-headArrive > setupTimeout {
-			n.teardownPartial(wireClaims, hopClaims, at, failHold)
-			return Transit{}, &DownError{Plane: path.Network, At: headArrive + setupTimeout}
-		}
-		hopClaims = append(hopClaims, sendHopClaim{x: x, out: hop.Out, requested: headArrive, start: setupStart})
-		head = setupStart + xbar.RouteSetup
-		fromDev, fromPort = n.topo.Nodes()+hop.Xbar, hop.Out
-		remaining-- // the crossbar consumed one route byte
+	r := n.walk(path, 0, len(path.Hops), at, wireBytes, setupTimeout, nil, n.walkWires[:0], n.walkHops[:0])
+	n.walkWires, n.walkHops = r.wires, r.hops
+	if r.outcome == walkFailed {
+		n.hold(&n.ledger, r.wires, r.hops, teardown, path.Network)
+		return Transit{}, &DownError{Plane: path.Network, Cut: r.cut, At: r.at}
 	}
-	lastWire := n.wire(fromDev, fromPort, 0)
-	lwStart := sim.Max(head, lastWire.FreeAt())
-	if lastWire.DeadAt(lwStart) {
-		n.teardownPartial(wireClaims, hopClaims, at, failHold)
-		return Transit{}, &DownError{Plane: path.Network, Cut: true, At: lwStart}
-	}
-	if setupTimeout > 0 && lwStart-head > setupTimeout {
-		n.teardownPartial(wireClaims, hopClaims, at, failHold)
-		return Transit{}, &DownError{Plane: path.Network, At: head + setupTimeout}
-	}
-	wireClaims = append(wireClaims, sendWireClaim{w: lastWire, start: lwStart, bytes: remaining})
-	first := lwStart + n.linkCfg.PropagationDelay + byteTime
-	last := first + bodyTime
-
-	// The circuit forms. A wire severed while the body streams truncates
-	// the message; a corruption window garbles it. Both surface only at
-	// the destination's CRC check, so the transit still claims the path.
-	corrupted := false
-	for _, c := range wireClaims {
-		if cut, ok := c.w.CutTime(); ok && cut > c.start && cut <= last {
-			corrupted = true
-		}
-		if c.w.CorruptedIn(c.start, last) {
-			corrupted = true
-		}
-	}
-
-	// Pass 2: claim the full circuit until the close command passes.
-	for _, c := range wireClaims {
-		c.w.Hold(c.start, last, c.bytes)
-	}
-	for _, c := range hopClaims {
-		c.x.HoldOutput(c.requested, c.start, last, c.out)
-	}
-	if n.rec.Enabled() {
-		track, cat := trace.NodeTrack(path.Src), "netsim"
-		if n.osSending {
-			track, cat = trace.OSTrack(), "os"
-		}
-		n.rec.SpanArg(track, cat, "msg", at, last,
-			fmt.Sprintf("%d->%d plane %s, %dB", path.Src, path.Dst, planeName(path.Network), payloadBytes)) //pmlint:allow hotpath trace-gated formatting, tracing runs pay for the labels
-		n.rec.Span(track, cat, "setup", at, head)
-		n.rec.Span(track, cat, "stream", head, last)
-		if corrupted {
-			n.rec.Instant(track, cat, "crc-corrupt", last)
-		}
-	}
-	return Transit{SetupDone: head, FirstByte: first, LastByte: last, WireBytes: wireBytes, Corrupted: corrupted}, nil
+	bad := n.complete(&n.ledger, path, &r, nil, at, payloadBytes)
+	return Transit{SetupDone: r.head, FirstByte: r.first, LastByte: r.last, WireBytes: wireBytes, Corrupted: bad}, nil
 }
 
 // idealTransit is the zero-contention sender-observed transit time of a
@@ -355,43 +267,6 @@ func (n *Network) idealTransit(path topo.Path, payloadBytes int) sim.Time {
 	}
 	t += n.linkCfg.PropagationDelay + byteTime
 	return t + n.linkCfg.TransferTime(wireBytes-len(path.RouteBytes))
-}
-
-// sendWireClaim and sendHopClaim are the peeked pass-1 reservations of
-// one send attempt, applied in pass 2 (or held to a failed attempt's
-// teardown).
-type sendWireClaim struct {
-	w     *link.Wire
-	start sim.Time
-	bytes int
-}
-
-type sendHopClaim struct {
-	x                *xbar.Crossbar
-	out              int
-	requested, start sim.Time
-}
-
-// teardownPartial claims a failed attempt's partial circuit until the
-// teardown at entry+failHold — the sender's detection time, when the
-// driver gives up and the switches reclaim the channels. Resources the
-// header would only have reached after the teardown are skipped; a zero
-// failHold claims nothing (the unguarded Send path).
-func (n *Network) teardownPartial(wires []sendWireClaim, hops []sendHopClaim, entry, failHold sim.Time) {
-	if failHold <= 0 {
-		return
-	}
-	until := entry + failHold
-	for _, c := range wires {
-		if c.start < until {
-			c.w.Hold(c.start, until, c.bytes)
-		}
-	}
-	for _, c := range hops {
-		if c.start < until {
-			c.x.HoldOutput(c.requested, c.start, until, c.out)
-		}
-	}
 }
 
 // Reset clears all crossbar and wire timelines, NI state, per-plane

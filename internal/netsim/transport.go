@@ -101,13 +101,11 @@ func (t *Transport) Config() FailoverConfig { return t.cfg }
 // network holds — call after Network.SetMetrics. An empty name, or
 // metrics off, clears the label.
 func (t *Transport) SetTenant(name string) {
-	if name == "" || t.net.mreg == nil {
-		t.tenantLat = nil
-		t.tenantWait = [4]*metrics.Histogram{}
-		return
+	reg := t.net.mreg
+	if name == "" {
+		reg = nil
 	}
-	t.tenantLat = t.net.mreg.TimeHistogram(MetricSendLatencyTenantPrefix+name, tenantLatencyBuckets())
-	t.tenantWait = tenantWaitHistograms(t.net.mreg, name)
+	t.tenantLat, t.tenantWait = tenantHistograms(reg, name)
 }
 
 // PlaneDown reports whether the driver's plane-down cache currently
@@ -182,8 +180,7 @@ func (t *Transport) sendWith(at sim.Time, dst, payloadBytes int, cfg FailoverCon
 		return Delivery{}, fmt.Errorf("netsim: negative payload")
 	}
 	p := newProtocol(t, at, dst, payloadBytes, &cfg, sendSink{
-		planes: &n.planes, met: &n.met, rec: n.rec,
-		tenantLat: t.tenantLat, tenantWait: &t.tenantWait,
+		ledger: &n.ledger, tenantLat: t.tenantLat, tenantWait: &t.tenantWait,
 	})
 	for p.next() {
 		// System-software traffic that accumulated up to this attempt's
@@ -194,15 +191,17 @@ func (t *Transport) sendWith(at sim.Time, dst, payloadBytes int, cfg FailoverCon
 		if !p.enter() {
 			continue
 		}
-		tr, err := n.send(p.entry, p.path, payloadBytes, cfg.SetupTimeout, cfg.AckTimeout)
+		// Silence on the wire: the sender learns of a failed attempt only
+		// via the acknowledgment timeout, wherever the fault sits, and the
+		// partial circuit holds until then.
+		detected := p.entry + cfg.AckTimeout
+		tr, err := n.send(p.entry, p.path, payloadBytes, cfg.SetupTimeout, detected)
 		if err != nil {
 			var down *DownError
 			if !errorsAs(err, &down) {
 				return Delivery{}, err
 			}
-			// Silence on the wire: the sender learns only via the
-			// acknowledgment timeout, wherever the fault sits.
-			p.failed(p.entry+cfg.AckTimeout, down.Cut)
+			p.failed(detected, down.Cut)
 			continue
 		}
 		recordArrival(n.nis[dst].Links[p.plane], &n.planes[p.plane], tr.Corrupted)
