@@ -66,6 +66,8 @@ func TestBadInputExitsOne(t *testing.T) {
 		{[]string{"--topo", "torus"}, `unknown topology "torus"`},
 		{[]string{"--campaign", "no-such"}, `unknown campaign "no-such"`},
 		{[]string{"--engine", "warp"}, "warp"},
+		{[]string{"--engine", "par", "--shards", "-1"}, "negative shard count -1"},
+		{[]string{"--payload", "-1"}, "negative payload size -1"},
 	}
 	for _, tc := range cases {
 		name := strings.Join(tc.args, " ")
@@ -82,5 +84,19 @@ func TestBadInputExitsOne(t *testing.T) {
 	}
 	if code, _, _ := runCLI("--no-such-flag"); code != 2 {
 		t.Errorf("pmfault --no-such-flag: exit %d, want 2", code)
+	}
+}
+
+// TestZeroShardsMeansOne checks that the parallel engine's default
+// shard count is one, so --traffic --engine par runs on the default
+// (single-leaf) Cluster8 and prints what the sequential engine prints.
+func TestZeroShardsMeansOne(t *testing.T) {
+	_, want, _ := runCLI("--traffic")
+	for _, args := range [][]string{{"--traffic", "--engine", "par"}, {"--traffic", "--engine", "par", "--shards", "1"}} {
+		code, stdout, stderr := runCLI(args...)
+		if code != 0 || stdout != want || want == "" {
+			t.Errorf("pmfault %s: exit %d (stderr %q), stdout matches --traffic: %v",
+				strings.Join(args, " "), code, stderr, stdout == want)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		horizonUS    = fs.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
 		windowUS     = fs.Int64("window-us", 0, "telemetry window width in microseconds (0 = horizon/32, rounded up to 1us)")
 		engineFlag   = fs.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
-		shardsFlag   = fs.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
+		shardsFlag   = fs.Int("shards", 0, "psim shard count under --engine par (0 = 1; must align with the topology's leaf groups)")
 		formatFlag   = fs.String("format", "table", "output format: table or csv")
 		listOnly     = fs.Bool("list", false, "list mix names and exit")
 	)
@@ -108,6 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *formatFlag != "table" && *formatFlag != "csv" {
 		return fail(fmt.Errorf("unknown format %q (want table or csv)", *formatFlag))
+	}
+	if *faultsFlag < 0 {
+		return fail(fmt.Errorf("negative fault count %d", *faultsFlag))
 	}
 
 	horizon := sim.Time(*horizonUS) * sim.Microsecond

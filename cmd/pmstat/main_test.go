@@ -28,3 +28,52 @@ func TestGoldens(t *testing.T) {
 		}
 	}
 }
+
+// runCLI runs pmstat in process and returns its exit code and output.
+func runCLI(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// TestBadInputExitsOne checks that bad values end the run with exit
+// code 1 and the reason on stderr — never a panic, never output.
+func TestBadInputExitsOne(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"--campaign", "link-cut", "--faults", "-3", "--topo", "system256"}, "negative fault count -3"},
+		{[]string{"--horizon-us", "-1"}, "negative horizon"},
+		{[]string{"--window-us", "-5"}, "negative telemetry window"},
+		{[]string{"--engine", "par", "--shards", "-1"}, "negative shard count -1"},
+		{[]string{"--campaign", "no-such"}, `unknown campaign "no-such"`},
+	}
+	for _, tc := range cases {
+		name := strings.Join(tc.args, " ")
+		code, stdout, stderr := runCLI(tc.args...)
+		if code != 1 {
+			t.Errorf("pmstat %s: exit %d, want 1 (stderr %q)", name, code, stderr)
+		}
+		if !strings.HasPrefix(stderr, "pmstat: ") || !strings.Contains(stderr, tc.wantErr) {
+			t.Errorf("pmstat %s: stderr %q, want a pmstat: error containing %q", name, stderr, tc.wantErr)
+		}
+		if stdout != "" {
+			t.Errorf("pmstat %s: wrote %q to stdout on failure", name, stdout)
+		}
+	}
+}
+
+// TestZeroShardsMeansOne checks that the parallel engine's default
+// shard count is one, so --engine par runs on the default (single-leaf)
+// Cluster8 and prints what the sequential engine prints.
+func TestZeroShardsMeansOne(t *testing.T) {
+	_, want, _ := runCLI()
+	for _, args := range [][]string{{"--engine", "par"}, {"--engine", "par", "--shards", "1"}} {
+		code, stdout, stderr := runCLI(args...)
+		if code != 0 || stdout != want || want == "" {
+			t.Errorf("pmstat %s: exit %d (stderr %q), stdout matches the seq run: %v",
+				strings.Join(args, " "), code, stderr, stdout == want)
+		}
+	}
+}

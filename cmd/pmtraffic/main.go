@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed        = fs.Int64("seed", 1, "seed for every arrival process")
 		horizonUS   = fs.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
 		engineFlag  = fs.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
-		shardsFlag  = fs.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
+		shardsFlag  = fs.Int("shards", 0, "psim shard count under --engine par (0 = 1; must align with the topology's leaf groups)")
 		metricsFlag = fs.Bool("metrics", false, "append the run's full metrics dump")
 		listOnly    = fs.Bool("list", false, "list mix names and exit")
 	)

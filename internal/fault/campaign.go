@@ -130,10 +130,10 @@ type Options struct {
 	// Topology is the interconnect under test; nil means topo.Cluster8().
 	Topology *topo.Topology
 	// Messages and PayloadBytes shape the traffic; zero means the
-	// defaults above.
+	// defaults above, a negative value is an error.
 	Messages, PayloadBytes int
 	// Window is the simulated span traffic spreads over; zero means
-	// DefaultWindow.
+	// DefaultWindow, a negative window is an error.
 	Window sim.Time
 	// Trace, when non-nil, records the highest-rate row's run (network
 	// sends, circuit holds, failover attempts) into the recorder — the
@@ -153,13 +153,26 @@ type Options struct {
 	// Shards partitions application workloads that run over the
 	// node-partitioned datapath (mpl.PWorld campaigns): under Engine ==
 	// psim.Par each row's world spreads its nodes across this many psim
-	// shards. Zero means 1. The partitioned determinism contract keeps
+	// shards. Zero means 1, a negative count is an error. The
+	// partitioned determinism contract keeps
 	// the result byte-identical at every aligned shard count, so Shards
 	// changes wall-clock, never output.
 	Shards int
 }
 
-func (o Options) resolved() Options {
+// resolved fills the defaults of zero fields and rejects negative
+// sizes: zero means the default, a negative value is an error.
+func (o Options) resolved() (Options, error) {
+	switch {
+	case o.Messages < 0:
+		return o, fmt.Errorf("fault: negative message count %d", o.Messages)
+	case o.PayloadBytes < 0:
+		return o, fmt.Errorf("fault: negative payload size %d", o.PayloadBytes)
+	case o.Window < 0:
+		return o, fmt.Errorf("fault: negative traffic window %v", o.Window)
+	case o.Shards < 0:
+		return o, fmt.Errorf("fault: negative shard count %d", o.Shards)
+	}
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
@@ -178,7 +191,7 @@ func (o Options) resolved() Options {
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
-	return o
+	return o, nil
 }
 
 // Row is one line of the degradation table: the outcome of one traffic
@@ -411,15 +424,12 @@ func Run(c Campaign, opt Options) (*Result, error) {
 	if opt.Topology == nil && c.DefaultTopology != nil {
 		opt.Topology = c.DefaultTopology()
 	}
-	opt = opt.resolved()
+	opt, err := opt.resolved()
+	if err != nil {
+		return nil, err
+	}
 	if len(c.Rates) == 0 || len(c.Kinds) == 0 {
 		return nil, fmt.Errorf("fault: campaign %q has no rates or kinds", c.Name)
-	}
-	if opt.Messages < 0 {
-		return nil, fmt.Errorf("fault: negative message count %d", opt.Messages)
-	}
-	if opt.Window < 0 {
-		return nil, fmt.Errorf("fault: negative traffic window %v", opt.Window)
 	}
 	res := &Result{Campaign: c, Options: opt}
 	cfg := netsim.DefaultFailover()

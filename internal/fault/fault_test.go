@@ -61,7 +61,8 @@ func TestGoldenTable(t *testing.T) {
 }
 
 // TestRunRejectsNegativeTrafficShape checks that a negative message
-// count, traffic window or traffic-sweep horizon is an error, not a
+// count, payload, traffic window, shard count or traffic-sweep horizon
+// is an error, not a
 // panic deep in traffic or fault-schedule generation (or a silent
 // default); zero still selects the default.
 func TestRunRejectsNegativeTrafficShape(t *testing.T) {
@@ -74,6 +75,8 @@ func TestRunRejectsNegativeTrafficShape(t *testing.T) {
 		{"negative-messages", Options{Messages: -5}, "negative message count -5"},
 		{"negative-window", Options{Window: -3 * sim.Microsecond}, "negative traffic window"},
 		{"both-negative", Options{Messages: -1, Window: -1}, "negative message count -1"},
+		{"negative-payload", Options{PayloadBytes: -1}, "negative payload size -1"},
+		{"negative-shards", Options{Shards: -1}, "negative shard count -1"},
 		{"zero-means-default", Options{Messages: 0, Window: 0}, ""},
 	}
 	if _, err := RunTraffic(traffic.DefaultMix(), -sim.Microsecond, Options{Seed: 1}); err == nil ||

@@ -6,6 +6,7 @@
 package fault
 
 import (
+	"fmt"
 	"math/rand"
 
 	"powermanna/internal/netsim"
@@ -21,8 +22,12 @@ import (
 // returns the applied events for display. The schedule is the same
 // pure function of (seed, count, topology, horizon) RunTraffic uses
 // for its ladder rows, so a pmstat scenario run is the windowed view
-// of the matching pmfault --traffic row.
+// of the matching pmfault --traffic row. The count must not be
+// negative.
 func ApplyTrafficScenario(net *netsim.Network, t *topo.Topology, count int, horizon sim.Time, seed int64) []Event {
+	if count < 0 {
+		panic(fmt.Sprintf("fault: negative traffic fault count %d", count))
+	}
 	events := trafficSchedule(t, count, horizon,
 		rand.New(rand.NewSource(seed+faultSeedStride*int64(count))))
 	inj := NewInjector(net, events)

@@ -59,9 +59,12 @@ type TrafficResult struct {
 // aligned shard counts. A zero horizon means traffic.DefaultHorizon; a
 // negative one is an error.
 func RunTraffic(mix traffic.Mix, horizon sim.Time, opt Options) (*TrafficResult, error) {
-	opt = opt.resolved()
 	if horizon < 0 {
 		return nil, fmt.Errorf("fault: negative traffic horizon %v", horizon)
+	}
+	opt, err := opt.resolved()
+	if err != nil {
+		return nil, err
 	}
 	if horizon == 0 {
 		horizon = traffic.DefaultHorizon

@@ -40,12 +40,13 @@ type Options struct {
 	Topology *topo.Topology
 	// Horizon is the offered-load window: arrivals stop at the horizon
 	// and the run drains in-flight traffic to completion. 0 means
-	// DefaultHorizon.
+	// DefaultHorizon; a negative horizon is an error.
 	Horizon sim.Time
 	// Engine selects sequential (one shard) or parallel (Shards-wide)
 	// execution; the output is byte-identical either way.
 	Engine psim.Kind
-	// Shards is the shard count under the parallel engine; <= 1 means 2.
+	// Shards is the shard count under the parallel engine; 0 means 1 and
+	// a negative count is an error. The sequential engine runs one shard.
 	Shards int
 	// Metrics optionally supplies the registry the run folds into; nil
 	// means a private registry (the Result carries it either way).
@@ -56,8 +57,9 @@ type Options struct {
 	// offered/outcome/violation series, latency-decomposition series and
 	// the SLO burn-rate views, folded into Result.Telemetry.
 	Telemetry bool
-	// Window is the telemetry grid width; <= 0 auto-sizes to
-	// telemetry.AutoWindow(Horizon). Ignored unless Telemetry is set.
+	// Window is the telemetry grid width; 0 auto-sizes to
+	// telemetry.AutoWindow(Horizon) and a negative width is an error.
+	// Ignored unless Telemetry is set.
 	Window sim.Time
 }
 
@@ -91,15 +93,20 @@ func New(mix Mix, opt Options) (*Engine, error) {
 	if opt.Topology == nil {
 		opt.Topology = topo.Cluster8()
 	}
-	if opt.Horizon <= 0 {
+	switch {
+	case opt.Horizon < 0:
+		return nil, fmt.Errorf("traffic: negative horizon %v", opt.Horizon)
+	case opt.Window < 0:
+		return nil, fmt.Errorf("traffic: negative telemetry window %v", opt.Window)
+	case opt.Shards < 0:
+		return nil, fmt.Errorf("traffic: negative shard count %d", opt.Shards)
+	}
+	if opt.Horizon == 0 {
 		opt.Horizon = DefaultHorizon
 	}
 	shards := 1
-	if opt.Engine == psim.Par {
+	if opt.Engine == psim.Par && opt.Shards > 0 {
 		shards = opt.Shards
-		if shards <= 1 {
-			shards = 2
-		}
 	}
 	opt.Shards = shards
 	pn, err := netsim.NewPartitioned(opt.Topology, shards, netsim.DefaultFailover())
@@ -129,7 +136,7 @@ func New(mix Mix, opt Options) (*Engine, error) {
 	// (shard, tenant) — with nil samplers handing out no-op instruments
 	// when telemetry is off.
 	if opt.Telemetry {
-		if opt.Window <= 0 {
+		if opt.Window == 0 {
 			opt.Window = telemetry.AutoWindow(opt.Horizon)
 		}
 		e.tels = make([]*telemetry.Sampler, shards)

@@ -1,10 +1,12 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 
 	"powermanna/internal/psim"
 	"powermanna/internal/sim"
+	"powermanna/internal/telemetry"
 	"powermanna/internal/topo"
 )
 
@@ -229,5 +231,63 @@ func TestRunByteIdenticalAcrossEngines(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOptionsSizes pins the one rule for Options sizes: zero means the
+// default (one shard, the default horizon, the auto window), a negative
+// value is an error, and N shards under the parallel engine means N.
+func TestOptionsSizes(t *testing.T) {
+	s256 := topo.System256()
+	cases := []struct {
+		name        string
+		opt         Options
+		wantErr     string
+		wantShards  int
+		wantHorizon sim.Time
+		wantWindow  sim.Time
+	}{
+		{name: "zero-defaults", opt: Options{Telemetry: true},
+			wantShards: 1, wantHorizon: DefaultHorizon},
+		{name: "par-zero-shards", opt: Options{Engine: psim.Par},
+			wantShards: 1, wantHorizon: DefaultHorizon},
+		{name: "par-one-shard", opt: Options{Engine: psim.Par, Shards: 1},
+			wantShards: 1, wantHorizon: DefaultHorizon},
+		{name: "par-four-shards", opt: Options{Engine: psim.Par, Shards: 4, Topology: s256},
+			wantShards: 4, wantHorizon: DefaultHorizon},
+		{name: "seq-ignores-shards", opt: Options{Shards: 4, Topology: s256},
+			wantShards: 1, wantHorizon: DefaultHorizon},
+		{name: "explicit-sizes", opt: Options{Horizon: 100 * sim.Microsecond, Telemetry: true, Window: 10 * sim.Microsecond},
+			wantShards: 1, wantHorizon: 100 * sim.Microsecond, wantWindow: 10 * sim.Microsecond},
+		{name: "negative-horizon", opt: Options{Horizon: -5 * sim.Microsecond}, wantErr: "negative horizon"},
+		{name: "negative-window", opt: Options{Telemetry: true, Window: -sim.Microsecond}, wantErr: "negative telemetry window"},
+		{name: "negative-shards", opt: Options{Engine: psim.Par, Shards: -1}, wantErr: "negative shard count -1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(DefaultMix(), tc.opt)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("New error = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if got := eng.pn.Engine().Shards(); got != tc.wantShards || eng.opt.Shards != tc.wantShards {
+				t.Errorf("shards: engine %d, options %d, want %d", got, eng.opt.Shards, tc.wantShards)
+			}
+			if eng.opt.Horizon != tc.wantHorizon {
+				t.Errorf("horizon %v, want %v", eng.opt.Horizon, tc.wantHorizon)
+			}
+			want := tc.wantWindow
+			if want == 0 && tc.opt.Telemetry {
+				want = telemetry.AutoWindow(tc.wantHorizon)
+			}
+			if eng.opt.Window != want {
+				t.Errorf("window %v, want %v", eng.opt.Window, want)
+			}
+		})
 	}
 }
