@@ -163,10 +163,7 @@ func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short")
 	}
-	pkgs, err := LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := sharedModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; module walk looks broken", len(pkgs))
 	}

@@ -2,8 +2,37 @@ package analysis
 
 import (
 	"os"
+	"sync"
 	"testing"
 )
+
+// The module load — type-checking the whole repository from source — is
+// the expensive step of this package's tests, so the tests that only
+// read the packages share one load per test binary. firstReport is the
+// audit rendered right after loading, before any test ran an analyzer
+// over the shared packages; TestSharedLoadIsReadOnly holds the sharing
+// to that.
+var (
+	moduleOnce  sync.Once
+	modulePkgs  []*Package
+	moduleErr   error
+	firstReport string
+)
+
+// sharedModule returns this repository's packages from the shared load.
+func sharedModule(t *testing.T) []*Package {
+	t.Helper()
+	moduleOnce.Do(func() {
+		modulePkgs, moduleErr = LoadModule(".")
+		if moduleErr == nil {
+			firstReport = RenderReport(AuditPackages(modulePkgs))
+		}
+	})
+	if moduleErr != nil {
+		t.Fatalf("loading module: %v", moduleErr)
+	}
+	return modulePkgs
+}
 
 // TestReportMatchesGolden pins the shard-safety audit of this repository.
 // The golden is the gate for the parallel simulation engine: a package may
@@ -16,11 +45,7 @@ func TestReportMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short")
 	}
-	pkgs, err := LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	got := RenderReport(AuditPackages(pkgs))
+	got := RenderReport(AuditPackages(sharedModule(t)))
 	want, err := os.ReadFile("testdata/pmlint_report.golden")
 	if err != nil {
 		t.Fatalf("reading golden: %v", err)
@@ -31,22 +56,37 @@ func TestReportMatchesGolden(t *testing.T) {
 }
 
 // TestReportDeterministic renders the audit twice from independent loads
-// and requires byte-identical output: the report is pinned in CI, so any
-// map-order or position nondeterminism would make the golden flaky.
+// (the shared one and a fresh one) and requires byte-identical output:
+// the report is pinned in CI, so any map-order or position
+// nondeterminism would make the golden flaky.
 func TestReportDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short")
 	}
-	render := func() string {
-		pkgs, err := LoadModule(".")
-		if err != nil {
-			t.Fatalf("loading module: %v", err)
-		}
-		return RenderReport(AuditPackages(pkgs))
+	a := RenderReport(AuditPackages(sharedModule(t)))
+	pkgs, err := LoadModule(".")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
 	}
-	a, b := render(), render()
+	b := RenderReport(AuditPackages(pkgs))
 	if a != b {
 		t.Errorf("two renders differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestSharedLoadIsReadOnly checks what sharing one load relies on: the
+// analyzers and the audit only read the packages, so the shared load
+// renders the same report after a full Run and a second audit as it did
+// right after loading.
+func TestSharedLoadIsReadOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checking the whole module is not short")
+	}
+	pkgs := sharedModule(t)
+	Run(pkgs, All())
+	AuditPackages(pkgs)
+	if got := RenderReport(AuditPackages(pkgs)); got != firstReport {
+		t.Errorf("the shared load changed under Run/AuditPackages:\n--- after loading ---\n%s\n--- after Run ---\n%s", firstReport, got)
 	}
 }
 
