@@ -41,13 +41,15 @@
 //
 // --engine selects the event engine for --campaign runs (seq or par,
 // one psim shard per degradation row); the recorded timeline is
-// byte-identical either way, which CI checks against the goldens.
+// byte-identical either way, which main_test.go checks against the
+// goldens.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -67,29 +69,46 @@ import (
 const fibN = 10
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, records the workload or campaign and writes the
+// chosen format to stdout. It returns the process exit code: 0 on
+// success, 1 on a bad value or a failed run (with the reason on
+// stderr), 2 on a malformed command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runFlag      = flag.String("run", "pingpong", "workload: pingpong, fib or dispatch")
-		campaignFlag = flag.String("campaign", "", "trace a fault campaign's highest rate instead of --run (see pmfault --list)")
-		formatFlag   = flag.String("format", "chrome", "output format: chrome, profile, utilization, critpath or diff")
-		seed         = flag.Int64("seed", 1, "seed for workload schedule and fault placement")
-		seed2        = flag.Int64("seed2", 2, "second seed for --format diff (the B run)")
-		topoFlag     = flag.String("topo", "", "topology: cluster8 or system256 (default per workload)")
-		messages     = flag.Int("messages", 0, "messages per campaign row or ping-pong rounds (0 = default)")
-		topN         = flag.Int("top", trace.DefaultProfileTopN, "span names per track in --format profile")
-		windowUS     = flag.Int64("window-us", 0, "utilization window in microseconds (0 = horizon/16)")
-		engineFlag   = flag.String("engine", "seq", "event engine for --campaign runs: seq or par (byte-identical timelines)")
+		runFlag      = fs.String("run", "pingpong", "workload: pingpong, fib or dispatch")
+		campaignFlag = fs.String("campaign", "", "trace a fault campaign's highest rate instead of --run (see pmfault --list)")
+		formatFlag   = fs.String("format", "chrome", "output format: chrome, profile, utilization, critpath or diff")
+		seed         = fs.Int64("seed", 1, "seed for workload schedule and fault placement")
+		seed2        = fs.Int64("seed2", 2, "second seed for --format diff (the B run)")
+		topoFlag     = fs.String("topo", "", "topology: cluster8 or system256 (default per workload)")
+		messages     = fs.Int("messages", 0, "messages per campaign row or ping-pong rounds (0 = default)")
+		topN         = fs.Int("top", trace.DefaultProfileTopN, "span names per track in --format profile")
+		windowUS     = fs.Int64("window-us", 0, "utilization window in microseconds (0 = horizon/16)")
+		engineFlag   = fs.String("engine", "seq", "event engine for --campaign runs: seq or par (byte-identical timelines)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "pmtrace: %v\n", err)
+		return 1
+	}
 
 	t, err := pickTopology(*topoFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	engine, err := psim.ParseKind(*engineFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	record := func(rec *trace.Recorder, seed int64) error {
@@ -101,12 +120,10 @@ func main() {
 
 	rec := trace.NewRecorder()
 	if err := record(rec, *seed); err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	out := bufio.NewWriter(stdout)
 	switch *formatFlag {
 	case "chrome":
 		err = trace.WriteChrome(out, rec)
@@ -119,18 +136,19 @@ func main() {
 	case "diff":
 		rec2 := trace.NewRecorder()
 		if err := record(rec2, *seed2); err != nil {
-			fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		err = trace.WriteDiff(out, rec, rec2)
 	default:
-		fmt.Fprintf(os.Stderr, "pmtrace: unknown format %q\n", *formatFlag)
-		os.Exit(1)
+		return fail(fmt.Errorf("unknown format %q", *formatFlag))
+	}
+	if err == nil {
+		err = out.Flush()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
+	return 0
 }
 
 // pickTopology maps the --topo flag; empty means "workload default" and

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,27 +64,40 @@ func TestCampaignTracesDeterministic(t *testing.T) {
 	}
 }
 
-// TestGoldenTraces pins the two CI-smoked exports against the
-// checked-in goldens so a trace-format or schedule change is a
+// runCLI runs pmtrace in process and returns its exit code and output.
+func runCLI(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// checkGolden runs one pmtrace command line and requires its stdout to
+// match testdata/<golden> byte for byte.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", golden))
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with pmtrace): %v", err)
+	}
+	name := strings.Join(args, " ")
+	code, got, stderr := runCLI(args...)
+	if code != 0 {
+		t.Fatalf("pmtrace %s: exit %d: %s", name, code, stderr)
+	}
+	if got != string(want) {
+		t.Errorf("pmtrace %s: output diverged from testdata/%s (len %d vs %d)", name, golden, len(got), len(want))
+	}
+}
+
+// TestGoldenTraces pins the Chrome exports against the checked-in
+// goldens — a comm workload and a fault campaign, the campaign on both
+// engines (the psim contract: --engine par reproduces the sequential
+// timeline byte for byte) — so a trace-format or schedule change is a
 // deliberate golden update, never drift.
 func TestGoldenTraces(t *testing.T) {
-	cases := []struct {
-		golden, campaign, run string
-		messages              int
-	}{
-		{"pmtrace_pingpong_seed1.golden", "", "pingpong", 0},
-		{"pmtrace_link-cut_seed1.golden", "link-cut", "", 60},
-	}
-	for _, c := range cases {
-		want, err := os.ReadFile("../../testdata/" + c.golden)
-		if err != nil {
-			t.Fatalf("missing golden (regenerate with pmtrace): %v", err)
-		}
-		got := renderChrome(t, c.campaign, c.run, 1, c.messages)
-		if got != string(want) {
-			t.Errorf("%s: output diverged from golden (len %d vs %d)", c.golden, len(got), len(want))
-		}
-	}
+	checkGolden(t, "pmtrace_pingpong_seed1.golden", "--run", "pingpong", "--seed", "1")
+	checkGolden(t, "pmtrace_link-cut_seed1.golden", "--campaign", "link-cut", "--seed", "1", "--messages", "60")
+	checkGolden(t, "pmtrace_link-cut_seed1.golden", "--campaign", "link-cut", "--seed", "1", "--messages", "60", "--engine", "par")
 }
 
 // record runs one pmtrace workload or campaign into a fresh recorder.
@@ -136,48 +150,42 @@ func TestAnalyticsFormatsDeterministic(t *testing.T) {
 // workload under the same seed diffs clean, and under a different seed
 // reports a non-empty delta.
 func TestDiffSameSeedIsClean(t *testing.T) {
-	a := record(t, "", "pingpong", 1, 0)
-	b := record(t, "", "pingpong", 1, 0)
-	var out strings.Builder
-	if err := trace.WriteDiff(&out, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "timelines identical") {
-		t.Errorf("seed-1 self diff not clean:\n%s", out.String())
-	}
-	out.Reset()
-	if err := trace.WriteDiff(&out, a, record(t, "", "pingpong", 2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "timelines identical") {
-		t.Error("seed-1 vs seed-2 diff reported identical")
+	for _, tc := range []struct {
+		seed2     string
+		identical bool
+	}{{"1", true}, {"2", false}} {
+		code, out, stderr := runCLI("--run", "pingpong", "--format", "diff", "--seed", "1", "--seed2", tc.seed2)
+		if code != 0 {
+			t.Fatalf("pmtrace diff --seed2 %s: exit %d: %s", tc.seed2, code, stderr)
+		}
+		if strings.Contains(out, "timelines identical") != tc.identical {
+			t.Errorf("seed 1 vs seed %s: identical=%v, want %v:\n%s", tc.seed2, !tc.identical, tc.identical, out)
+		}
 	}
 }
 
-// TestGoldenAnalytics pins the CI-smoked utilization and diff reports
-// against the checked-in goldens.
+// TestGoldenAnalytics pins the utilization series and the two-seed
+// diff report against the checked-in goldens.
 func TestGoldenAnalytics(t *testing.T) {
-	read := func(name string) string {
-		t.Helper()
-		want, err := os.ReadFile("../../testdata/" + name)
-		if err != nil {
-			t.Fatalf("missing golden (regenerate with pmtrace): %v", err)
+	checkGolden(t, "pmtrace_pingpong_utilization_seed1.golden", "--run", "pingpong", "--format", "utilization", "--seed", "1")
+	checkGolden(t, "pmtrace_pingpong_diff_seed1_seed2.golden", "--run", "pingpong", "--format", "diff", "--seed", "1", "--seed2", "2")
+}
+
+// TestBadInputExitsOne checks that bad values end the run with exit
+// code 1 and the reason on stderr, and a malformed command line with 2.
+func TestBadInputExitsOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"--topo", "torus"}, {"--engine", "warp"}, {"--format", "svg"},
+		{"--run", "no-such"}, {"--campaign", "no-such"},
+	} {
+		code, stdout, stderr := runCLI(args...)
+		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, "pmtrace: ") {
+			t.Errorf("pmtrace %s: exit %d, stdout %q, stderr %q; want exit 1 with a pmtrace: reason",
+				strings.Join(args, " "), code, stdout, stderr)
 		}
-		return string(want)
 	}
-	var b strings.Builder
-	if err := trace.WriteUtilization(&b, record(t, "", "pingpong", 1, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != read("pmtrace_pingpong_utilization_seed1.golden") {
-		t.Error("utilization output diverged from golden")
-	}
-	b.Reset()
-	if err := trace.WriteDiff(&b, record(t, "", "pingpong", 1, 0), record(t, "", "pingpong", 2, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != read("pmtrace_pingpong_diff_seed1_seed2.golden") {
-		t.Error("diff output diverged from golden")
+	if code, _, _ := runCLI("--no-such-flag"); code != 2 {
+		t.Errorf("pmtrace --no-such-flag: exit %d, want 2", code)
 	}
 }
 
