@@ -67,13 +67,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// initial sets the starting profile: a hot spike in the middle third.
-func initial(cells int) []float64 {
-	f := make([]float64, cells)
-	for i := cells / 3; i < 2*cells/3; i++ {
-		f[i] = 100
+// fill writes the starting profile of a cells-wide domain — a hot
+// spike in the middle third — into f, which holds cells [lo, hi).
+func fill(f []float64, cells, lo, hi int) {
+	for i := max(lo, cells/3); i < min(hi, 2*cells/3); i++ {
+		f[i-lo] = 100
 	}
-	return f
 }
 
 // step advances one explicit Euler step on a slice with fixed-zero
@@ -89,7 +88,8 @@ func RunSerial(cfg Config) ([]float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cur := initial(cfg.Cells)
+	cur := make([]float64, cfg.Cells)
+	fill(cur, cfg.Cells, 0, cfg.Cells)
 	next := make([]float64, cfg.Cells)
 	for s := 0; s < cfg.Steps; s++ {
 		step(next, cur, cfg.Alpha)
@@ -109,126 +109,177 @@ type Result struct {
 	CellsEach int
 }
 
+// block is one rank's share of a parallel solve: the contiguous slab
+// [lo, hi) of the domain plus two halo cells, and the per-rank work
+// both solvers do on it.
+type block struct {
+	rank, ranks int
+	lo, hi      int
+	cur, next   []float64
+	alpha       float64
+	charge      sim.Time // compute time of one step on the node CPU
+	// buf holds the outgoing halo cell; both worlds copy what they
+	// send, so one buffer serves every message.
+	buf [8]byte
+}
+
+// newBlocks validates cfg and splits its domain into one block per
+// rank, each holding its slab of the starting profile.
+func newBlocks(cfg Config, p int) ([]*block, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Cells < 3*p {
+		return nil, fmt.Errorf("heat: %d cells across %d ranks leaves blocks under 3 cells", cfg.Cells, p)
+	}
+	blocks := make([]*block, p)
+	for r := range blocks {
+		lo, hi := r*cfg.Cells/p, (r+1)*cfg.Cells/p
+		b := &block{
+			rank: r, ranks: p, lo: lo, hi: hi,
+			cur:    make([]float64, hi-lo+2),
+			next:   make([]float64, hi-lo+2),
+			alpha:  cfg.Alpha,
+			charge: sim.ClockMHz(180).Cycles(cfg.ComputeCyclesPerCell * int64(hi-lo)),
+		}
+		fill(b.cur[1:], cfg.Cells, lo, hi)
+		blocks[r] = b
+	}
+	return blocks, nil
+}
+
+// sendHalos posts the block's edge cells to its neighbours through the
+// rank's send. Tags encode the step and direction so rounds never
+// cross-match.
+func (b *block) sendHalos(s int, send func(dst, tag int, payload []byte) error) error {
+	if b.rank > 0 {
+		if err := send(b.rank-1, 2*s+1, b.encode(b.cur[1])); err != nil {
+			return err
+		}
+	}
+	if b.rank < b.ranks-1 {
+		return send(b.rank+1, 2*s, b.encode(b.cur[len(b.cur)-2]))
+	}
+	return nil
+}
+
+func (b *block) encode(v float64) []byte {
+	binary.LittleEndian.PutUint64(b.buf[:], math.Float64bits(v))
+	return b.buf[:]
+}
+
+// recvHalos fills the halo cells with the neighbours' edge cells,
+// through the rank's recv, or with zero at a physical boundary.
+func (b *block) recvHalos(s int, recv func(src, tag int) ([]byte, error)) (err error) {
+	n := len(b.cur) - 2
+	b.cur[0], b.cur[n+1] = 0, 0
+	if b.rank > 0 {
+		if b.cur[0], err = recvCell(recv, b.rank-1, 2*s); err != nil {
+			return err
+		}
+	}
+	if b.rank < b.ranks-1 {
+		b.cur[n+1], err = recvCell(recv, b.rank+1, 2*s+1)
+	}
+	return err
+}
+
+func recvCell(recv func(src, tag int) ([]byte, error), src, tag int) (float64, error) {
+	buf, err := recv(src, tag)
+	if err != nil {
+		return 0, err
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
+}
+
+// update advances the block one step, keeping the physical boundaries
+// pinned at zero exactly as the serial code does, and returns the
+// compute time to charge.
+func (b *block) update() sim.Time {
+	step(b.next, b.cur, b.alpha)
+	if b.rank == 0 {
+		b.next[1] = 0
+	}
+	if b.rank == b.ranks-1 {
+		b.next[len(b.next)-2] = 0
+	}
+	b.cur, b.next = b.next, b.cur
+	return b.charge
+}
+
+// residual is the block's share of the convergence check: the sum of
+// its squared cells.
+func (b *block) residual() float64 {
+	var sum float64
+	for _, v := range b.cur[1 : len(b.cur)-1] {
+		sum += v * v
+	}
+	return sum
+}
+
+// reduces reports whether step s of a p-rank solve ends with a residual
+// AllReduce.
+func (c Config) reduces(s, p int) bool {
+	return c.ReduceEvery > 0 && (s+1)%c.ReduceEvery == 0 && p > 1
+}
+
+// result assembles the global field from the blocks, with the world's
+// makespan and traffic.
+func result(blocks []*block, w interface {
+	MaxTime() sim.Time
+	Stats() (int64, int64)
+}) Result {
+	cells := blocks[len(blocks)-1].hi
+	out := make([]float64, cells)
+	for _, b := range blocks {
+		copy(out[b.lo:b.hi], b.cur[1:len(b.cur)-1])
+	}
+	out[0], out[cells-1] = 0, 0
+	msgs, bytes := w.Stats()
+	return Result{
+		Field:     out,
+		Makespan:  w.MaxTime(),
+		Ranks:     len(blocks),
+		Messages:  msgs,
+		MsgBytes:  bytes,
+		CellsEach: cells / len(blocks),
+	}
+}
+
 // Run solves the equation across all ranks of a message-passing world,
 // one contiguous block per rank, exchanging one-cell halos every step.
+// Each step runs in phases over all ranks: every halo send, then every
+// receive, then every local update.
 func Run(w *mpl.World, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	blocks, err := newBlocks(cfg, w.Ranks())
+	if err != nil {
 		return Result{}, err
 	}
-	p := w.Ranks()
-	if cfg.Cells < 3*p {
-		return Result{}, fmt.Errorf("heat: %d cells across %d ranks leaves blocks under 3 cells", cfg.Cells, p)
-	}
-
-	// Block decomposition; each rank holds [lo, hi) plus two halo cells.
-	lo := make([]int, p)
-	hi := make([]int, p)
-	for r := 0; r < p; r++ {
-		lo[r] = r * cfg.Cells / p
-		hi[r] = (r + 1) * cfg.Cells / p
-	}
-	global := initial(cfg.Cells)
-	cur := make([][]float64, p)
-	next := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		n := hi[r] - lo[r]
-		cur[r] = make([]float64, n+2)
-		next[r] = make([]float64, n+2)
-		copy(cur[r][1:], global[lo[r]:hi[r]])
-	}
-
-	encode := func(v float64) []byte {
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-		return b
-	}
-	decode := func(b []byte) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
-	}
-
 	for s := 0; s < cfg.Steps; s++ {
-		// Halo exchange: post all sends, then receive. Tags encode the
-		// step and direction so rounds never cross-match.
-		tagL, tagR := 2*s, 2*s+1
-		for r := 0; r < p; r++ {
-			n := hi[r] - lo[r]
-			if r > 0 {
-				if err := w.Send(r, r-1, tagR, encode(cur[r][1])); err != nil {
-					return Result{}, err
-				}
-			}
-			if r < p-1 {
-				if err := w.Send(r, r+1, tagL, encode(cur[r][n])); err != nil {
-					return Result{}, err
-				}
+		for _, b := range blocks {
+			send := func(dst, tag int, p []byte) error { return w.Send(b.rank, dst, tag, p) }
+			if err := b.sendHalos(s, send); err != nil {
+				return Result{}, err
 			}
 		}
-		for r := 0; r < p; r++ {
-			n := hi[r] - lo[r]
-			if r > 0 {
-				b, err := w.Recv(r, r-1, tagL)
-				if err != nil {
-					return Result{}, err
-				}
-				cur[r][0] = decode(b)
-			} else {
-				cur[r][0] = 0 // physical boundary
-			}
-			if r < p-1 {
-				b, err := w.Recv(r, r+1, tagR)
-				if err != nil {
-					return Result{}, err
-				}
-				cur[r][n+1] = decode(b)
-			} else {
-				cur[r][n+1] = 0
+		for _, b := range blocks {
+			recv := func(src, tag int) ([]byte, error) { return w.Recv(b.rank, src, tag) }
+			if err := b.recvHalos(s, recv); err != nil {
+				return Result{}, err
 			}
 		}
-
-		// Local update, charged to each rank's clock; the physical
-		// boundaries stay pinned at zero exactly as in the serial code.
-		for r := 0; r < p; r++ {
-			n := hi[r] - lo[r]
-			step(next[r], cur[r], cfg.Alpha)
-			if r == 0 {
-				next[r][1] = 0
-			}
-			if r == p-1 {
-				next[r][n] = 0
-			}
-			w.Compute(r, sim.ClockMHz(180).Cycles(cfg.ComputeCyclesPerCell*int64(n)))
-			cur[r], next[r] = next[r], cur[r]
+		for _, b := range blocks {
+			w.Compute(b.rank, b.update())
 		}
-
-		// Periodic residual reduction (the convergence check).
-		if cfg.ReduceEvery > 0 && (s+1)%cfg.ReduceEvery == 0 && p > 1 {
-			contrib := make([][]float64, p)
-			for r := 0; r < p; r++ {
-				var sum float64
-				for _, v := range cur[r][1 : hi[r]-lo[r]+1] {
-					sum += v * v
-				}
-				contrib[r] = []float64{sum}
+		if cfg.reduces(s, len(blocks)) {
+			contrib := make([][]float64, len(blocks))
+			for r, b := range blocks {
+				contrib[r] = []float64{b.residual()}
 			}
 			if _, err := w.AllReduce(contrib, 1000+s); err != nil {
 				return Result{}, err
 			}
 		}
 	}
-
-	// Assemble the global field.
-	out := make([]float64, cfg.Cells)
-	for r := 0; r < p; r++ {
-		copy(out[lo[r]:hi[r]], cur[r][1:hi[r]-lo[r]+1])
-	}
-	out[0], out[cfg.Cells-1] = 0, 0
-	msgs, bytes := w.Stats()
-	return Result{
-		Field:     out,
-		Makespan:  w.MaxTime(),
-		Ranks:     p,
-		Messages:  msgs,
-		MsgBytes:  bytes,
-		CellsEach: cfg.Cells / p,
-	}, nil
+	return result(blocks, w), nil
 }

@@ -3,14 +3,9 @@ package mpl
 import "fmt"
 
 // Per-rank collectives for the partitioned world: the same binomial
-// trees, tags and reduction costs as the World collectives, rewritten
-// in SPMD form. Where the World drives every rank's role from one
-// loop, each PRank here derives its own role per tree level from its
-// index: at level k a rank whose lowest set bit is k is a child (it
-// exchanges with rank - 2^k), and a rank with all bits at or below k
-// clear is a parent of rank + 2^k when that rank exists. Gather levels
-// ascend, broadcast levels descend, so a rank always holds data before
-// it forwards.
+// trees (roleAt), tags and reduction costs as the World collectives,
+// rewritten in SPMD form. Where the World drives every rank's role
+// from one loop, each PRank here takes only its own role per level.
 
 // Barrier synchronizes all ranks: a binomial gather to rank 0 followed
 // by a binomial broadcast of the release, with the World's tags.
@@ -18,28 +13,26 @@ func (r *PRank) Barrier(round int) error {
 	p, rank := r.Ranks(), r.rank
 	tag := tagBarrier + 2*round
 	for k := 0; 1<<k < p; k++ {
-		span := 1 << (k + 1)
-		switch {
-		case rank%span == 1<<k:
-			if err := r.Send(rank-1<<k, tag, nil); err != nil {
+		switch role, peer := roleAt(rank, k, p); role {
+		case treeChild:
+			if err := r.Send(peer, tag, nil); err != nil {
 				return err
 			}
-		case rank%span == 0 && rank+1<<k < p:
-			if _, err := r.Recv(rank+1<<k, tag); err != nil {
+		case treeParent:
+			if _, err := r.Recv(peer, tag); err != nil {
 				return err
 			}
 		}
 	}
 	rel := tagBarrier + 2*round + 1
 	for k := bits(p) - 1; k >= 0; k-- {
-		span := 1 << (k + 1)
-		switch {
-		case rank%span == 1<<k:
-			if _, err := r.Recv(rank-1<<k, rel); err != nil {
+		switch role, peer := roleAt(rank, k, p); role {
+		case treeChild:
+			if _, err := r.Recv(peer, rel); err != nil {
 				return err
 			}
-		case rank%span == 0 && rank+1<<k < p:
-			if err := r.Send(rank+1<<k, rel, nil); err != nil {
+		case treeParent:
+			if err := r.Send(peer, rel, nil); err != nil {
 				return err
 			}
 		}
@@ -52,25 +45,21 @@ func (r *PRank) Barrier(round int) error {
 // nil.
 func (r *PRank) Bcast(vec []float64, tag int) ([]float64, error) {
 	p, rank := r.Ranks(), r.rank
-	data := vec
-	has := rank == 0
 	for k := bits(p) - 1; k >= 0; k-- {
-		span := 1 << (k + 1)
-		switch {
-		case rank%span == 1<<k:
-			b, err := r.Recv(rank-1<<k, tagBcast+tag)
+		switch role, peer := roleAt(rank, k, p); role {
+		case treeChild:
+			b, err := r.Recv(peer, tagBcast+tag)
 			if err != nil {
 				return nil, err
 			}
-			data = decodeVec(b)
-			has = true
-		case rank%span == 0 && rank+1<<k < p && has:
-			if err := r.Send(rank+1<<k, tagBcast+tag, encodeVec(data)); err != nil {
+			vec = decodeVec(b)
+		case treeParent:
+			if err := r.Send(peer, tagBcast+tag, encodeVec(vec)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return data, nil
+	return vec, nil
 }
 
 // AllReduce sums each rank's vector element-wise and returns the
@@ -81,14 +70,13 @@ func (r *PRank) AllReduce(vec []float64, tag int) ([]float64, error) {
 	n := len(vec)
 	acc := append([]float64(nil), vec...)
 	for k := 0; 1<<k < p; k++ {
-		span := 1 << (k + 1)
-		switch {
-		case rank%span == 1<<k:
-			if err := r.Send(rank-1<<k, tagReduce+tag+k, encodeVec(acc)); err != nil {
+		switch role, peer := roleAt(rank, k, p); role {
+		case treeChild:
+			if err := r.Send(peer, tagReduce+tag+k, encodeVec(acc)); err != nil {
 				return nil, err
 			}
-		case rank%span == 0 && rank+1<<k < p:
-			b, err := r.Recv(rank+1<<k, tagReduce+tag+k)
+		case treeParent:
+			b, err := r.Recv(peer, tagReduce+tag+k)
 			if err != nil {
 				return nil, err
 			}
@@ -99,7 +87,7 @@ func (r *PRank) AllReduce(vec []float64, tag int) ([]float64, error) {
 			for i := range acc {
 				acc[i] += v[i]
 			}
-			r.Compute(r.w.cycles(int64(n * reduceOpCyclesPerElement)))
+			r.Compute(r.w.drv.reduceCost(n))
 		}
 	}
 	return r.Bcast(acc, tag)

@@ -4,12 +4,12 @@
 // rank clock and the whole network, and sends resolve synchronously in
 // program order. That shape cannot parallelise — and it cannot even
 // express a genuinely concurrent workload, because rank program order
-// is the global order. PWorld keeps the same calibrated software
-// overheads (comm.PMParams: PIO lines, poll cycles, setup cycles) but
-// runs each rank as its own goroutine over a netsim.PartNetwork: sends
-// go through the split-phase failover protocol (netsim.SendAsync),
-// receives block on real arrival events, and rank execution is driven
-// by the psim shard that owns the rank's node.
+// is the global order. PWorld prices messages with the same PIO driver
+// (driver.go) but runs each rank as its own goroutine over a
+// netsim.PartNetwork: sends go through the split-phase failover
+// protocol (netsim.SendAsync), receives block on real arrival events,
+// and rank execution is driven by the psim shard that owns the rank's
+// node.
 //
 // Scheduling discipline — rank code runs only nested inside a shard
 // event. Each rank goroutine and its shard hand control back and forth
@@ -22,7 +22,9 @@
 // engine drains is deadlocked (a receive nothing will match); Run
 // aborts it via runtime.Goexit and reports which ranks were stuck.
 //
-// Model differences from the legacy World, both inherent to losing the
+// The two worlds share the driver: every send and receive cost, the
+// receive queue and its matching, and the receive-wait instruments.
+// The only differences are the executor's, both inherent to losing the
 // global sequential order: a rank's virtual clock may lag its shard's
 // event clock (the verdict that frees the sender arrives at network
 // time), so SendAsync clamps entry times forward — consecutive sends
@@ -35,8 +37,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"powermanna/internal/comm"
-	"powermanna/internal/link"
 	"powermanna/internal/metrics"
 	"powermanna/internal/netsim"
 	"powermanna/internal/sim"
@@ -59,31 +59,16 @@ const (
 	prRecvWait
 )
 
-// ptag is the cross-shard cargo of one mpl message: the user tag plus
-// the payload copy. It crosses psim mailboxes as immutable data.
-type ptag struct {
-	tag  int
-	data []byte
-}
-
-// pmessage is one delivered message in a rank's receive queue.
-type pmessage struct {
-	src, tag  int
-	payload   []byte
-	arrival   sim.Time
-	firstByte sim.Time
-}
-
 // PWorld is one SPMD program run over a partitioned network: one rank
 // per node, each a goroutine scheduled by its node's shard.
 type PWorld struct {
-	pn     *netsim.PartNetwork
-	params comm.PMParams
-	ranks  []*PRank
-	// sends and bytes are per-rank so each is written only from its
-	// rank's shard; Stats sums them after the engine has drained.
-	sends []int64
-	bytes []int64
+	pn  *netsim.PartNetwork
+	drv driver
+	// eps holds the ranks' driver state; each endpoint is written only
+	// from its rank's shard and read by MaxTime and Stats after the
+	// engine has drained.
+	eps   []endpoint
+	ranks []*PRank
 	ran   bool
 }
 
@@ -92,10 +77,11 @@ type PWorld struct {
 type PRank struct {
 	w    *PWorld
 	rank int
-	// clock is the rank's virtual CPU time, advanced by its own sends,
-	// receives and computation exactly as the legacy World advances it.
-	clock sim.Time
-	queue []pmessage
+	// endpoint holds the rank's virtual CPU time, advanced by its own
+	// sends, receives and computation through the shared driver, its
+	// receive queue, traffic counts and receive-wait views (in its
+	// shard's registry, folded into the user's registry after the run).
+	*endpoint
 	state prState
 	// resume and yield are the control-handoff pair: the shard side
 	// sends resume (false = abort) and blocks on yield until the rank
@@ -104,11 +90,6 @@ type PRank struct {
 	yield  chan struct{}
 	done   bool
 	err    error
-	// recvWait is the rank's shard-local view of MetricRecvWait;
-	// rankWait the rank's own labelled histogram in the same shard
-	// registry (both folded into the user's registry after the run).
-	recvWait *metrics.Histogram
-	rankWait *metrics.Histogram
 }
 
 // NewPWorld builds a partitioned world over the topology with the
@@ -126,25 +107,22 @@ func NewPWorldWith(t *topo.Topology, shards int, cfg netsim.FailoverConfig) (*PW
 		return nil, err
 	}
 	w := &PWorld{
-		pn:     pn,
-		params: comm.DefaultPMParams(),
-		sends:  make([]int64, t.Nodes()),
-		bytes:  make([]int64, t.Nodes()),
+		pn:  pn,
+		drv: newDriver(),
+		eps: make([]endpoint, t.Nodes()),
 	}
 	for i := 0; i < t.Nodes(); i++ {
 		w.ranks = append(w.ranks, &PRank{
-			w: w, rank: i,
+			w: w, rank: i, endpoint: &w.eps[i],
 			resume: make(chan bool),
 			yield:  make(chan struct{}),
 		})
 	}
-	pn.OnDeliver(func(src, dst int, payload any, first, last sim.Time) {
-		pt := payload.(ptag)
+	pn.OnDeliver(func(src, dst int, payload any, _, last sim.Time) {
+		m := payload.(message)
+		m.arrival = last
 		r := w.ranks[dst]
-		r.queue = append(r.queue, pmessage{
-			src: src, tag: pt.tag, payload: pt.data,
-			arrival: last, firstByte: first,
-		})
+		r.queue = append(r.queue, m)
 		if r.state == prRecvWait {
 			r.state = prRun
 			r.wake()
@@ -168,9 +146,7 @@ func (w *PWorld) Network() *netsim.Network { return w.pn.Network() }
 func (w *PWorld) SetMetrics(m *metrics.Registry) {
 	w.pn.SetMetrics(m)
 	for _, r := range w.ranks {
-		reg := w.pn.ShardRegistry(w.pn.ShardOf(r.rank))
-		r.recvWait = reg.TimeHistogram(MetricRecvWait, recvWaitBuckets())
-		r.rankWait = reg.TimeHistogram(recvWaitRankName(r.rank), recvWaitBuckets())
+		r.wait = newRecvWait(w.pn.ShardRegistry(w.pn.ShardOf(r.rank)), r.rank)
 	}
 }
 
@@ -183,27 +159,10 @@ func (w *PWorld) Ranks() int { return len(w.ranks) }
 
 // MaxTime reports the latest rank clock (the makespan). Valid after
 // Run has returned.
-func (w *PWorld) MaxTime() sim.Time {
-	var max sim.Time
-	for _, r := range w.ranks {
-		if r.clock > max {
-			max = r.clock
-		}
-	}
-	return max
-}
+func (w *PWorld) MaxTime() sim.Time { return maxClock(w.eps) }
 
 // Stats reports message traffic. Valid after Run has returned.
-func (w *PWorld) Stats() (messages, payloadBytes int64) {
-	var m, b int64
-	for i := range w.sends {
-		m += w.sends[i]
-		b += w.bytes[i]
-	}
-	return m, b
-}
-
-func (w *PWorld) cycles(n int64) sim.Time { return w.params.CPUClock.Cycles(n) }
+func (w *PWorld) Stats() (messages, payloadBytes int64) { return traffic(w.eps) }
 
 // Run executes fn once per rank, each on its own goroutine, and drives
 // them through the partitioned network until every rank returns or the
@@ -279,23 +238,18 @@ func (r *PRank) Now() sim.Time { return r.clock }
 // Compute advances the rank's clock by local computation time.
 func (r *PRank) Compute(d sim.Time) { r.clock += d }
 
-// Send posts payload to rank dst with a tag, paying the same
-// user-level send path as the legacy World (setup cycles, PIO lines,
-// FIFO overlap with the link). The rank parks until the failover
-// protocol renders the message's verdict; a message lost on both
-// planes is an error.
+// Send posts payload to rank dst with a tag, paying the driver's send
+// path. The rank parks until the failover protocol renders the
+// message's verdict; a message lost on both planes is an error.
 func (r *PRank) Send(dst, tag int, payload []byte) error {
 	w := r.w
 	if dst == r.rank {
 		return fmt.Errorf("mpl: self-send from rank %d", r.rank)
 	}
-	start := r.clock + w.cycles(w.params.SendSetupCycles)
-	start += w.params.PIOWriteLine
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	entry := w.drv.sendEntry(r.endpoint)
 	var del netsim.Delivery
 	got := false
-	err := w.pn.SendAsync(r.rank, dst, len(payload), ptag{tag: tag, data: cp}, start,
+	err := w.pn.SendAsync(r.rank, dst, len(payload), post(r.rank, tag, payload), entry,
 		func(d netsim.Delivery) {
 			del, got = d, true
 			if r.state == prSendWait {
@@ -315,20 +269,7 @@ func (r *PRank) Send(dst, tag int, payload []byte) error {
 	if del.Failed {
 		return fmt.Errorf("mpl: message %d->%d lost on both planes", r.rank, dst)
 	}
-	tail := len(payload) - w.params.FIFOBytes
-	senderDone := start
-	if tail > 0 {
-		senderDone = del.Done - sim.Time(w.params.FIFOBytes)*link.BytePeriod
-		if senderDone < start {
-			senderDone = start
-		}
-	} else {
-		lines := (len(payload) + 63) / 64
-		senderDone = start + sim.Time(lines)*w.params.PIOWriteLine
-	}
-	r.clock = senderDone
-	w.sends[r.rank]++
-	w.bytes[r.rank] += int64(len(payload))
+	w.drv.sent(r.endpoint, entry, del.Done, len(payload))
 	return nil
 }
 
@@ -337,29 +278,9 @@ func (r *PRank) Send(dst, tag int, payload []byte) error {
 // Matching is FIFO within (src, tag), over the deterministic delivery
 // order of the partitioned network.
 func (r *PRank) Recv(src, tag int) ([]byte, error) {
-	w := r.w
 	for {
-		for i, m := range r.queue {
-			if m.src != src || m.tag != tag {
-				continue
-			}
-			r.queue = append(r.queue[:i:i], r.queue[i+1:]...)
-			t := r.clock + w.cycles(w.params.PollCycles)
-			var wait sim.Time
-			if m.arrival > t {
-				wait = m.arrival - t
-				t = m.arrival + w.cycles(w.params.PollCycles)/2
-			}
-			r.recvWait.ObserveTime(wait)
-			r.rankWait.ObserveTime(wait)
-			lines := (len(m.payload) + 63) / 64
-			if lines < 1 {
-				lines = 1
-			}
-			t += sim.Time(lines) * w.params.PIOReadLine
-			t += w.cycles(w.params.RecvReturnCycles)
-			r.clock = t
-			return m.payload, nil
+		if b, ok := r.w.drv.recv(r.endpoint, src, tag); ok {
+			return b, nil
 		}
 		r.state = prRecvWait
 		r.park()
