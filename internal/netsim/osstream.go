@@ -133,9 +133,6 @@ func (n *Network) AttachOSStream(cfg OSStreamConfig) {
 	n.os.rearm()
 }
 
-// OSStreamAttached reports whether a background OS stream is active.
-func (n *Network) OSStreamAttached() bool { return n.os != nil }
-
 // rearm resets the stream to its start: tick train at Start, first burst
 // armed from ordinal zero.
 func (os *osStream) rearm() {

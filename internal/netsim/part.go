@@ -286,9 +286,6 @@ func (pn *PartNetwork) SetRecorder(r *trace.Recorder) {
 	}
 }
 
-// ShardRecorder exposes shard i's private recorder (nil when off).
-func (pn *PartNetwork) ShardRecorder(i int) *trace.Recorder { return pn.shards[i].rec }
-
 // Run drives the engine until every shard drains, then folds the
 // per-shard observability state into the attached registry/recorder.
 func (pn *PartNetwork) Run() {
