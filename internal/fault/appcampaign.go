@@ -307,14 +307,7 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 			}
 		}
 		inj := NewInjector(net, events)
-		// Apply the whole schedule before the run: sound for LinkCut
-		// (see the package comment), and the only option when the
-		// workload, not the campaign, decides the send times.
-		var last sim.Time
-		for _, e := range inj.Events() {
-			last = e.At
-		}
-		inj.ApplyUntil(last)
+		inj.applyAll()
 		makespan, err := runW()
 		if err != nil {
 			out.err = fmt.Errorf("fault: app campaign %q at rate %d: %w", c.Name, rate, err)

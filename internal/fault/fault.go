@@ -130,6 +130,16 @@ func (in *Injector) ApplyUntil(now sim.Time) int {
 	return fired
 }
 
+// applyAll injects the whole schedule before the run: sound only for
+// faults whose wire state is parameterized by time, like the cuts the
+// app and traffic campaigns draw (see appcampaign.go), and the only
+// option when the workload, not the campaign, decides the send times.
+func (in *Injector) applyAll() {
+	if n := len(in.events); n > 0 {
+		in.ApplyUntil(in.events[n-1].At)
+	}
+}
+
 // Pending reports how many events have not fired yet.
 func (in *Injector) Pending() int { return len(in.events) - in.next }
 

@@ -31,10 +31,6 @@ func ApplyTrafficScenario(net *netsim.Network, t *topo.Topology, count int, hori
 	events := trafficSchedule(t, count, horizon,
 		rand.New(rand.NewSource(seed+faultSeedStride*int64(count))))
 	inj := NewInjector(net, events)
-	var lastAt sim.Time
-	for _, e := range inj.Events() {
-		lastAt = e.At
-	}
-	inj.ApplyUntil(lastAt)
+	inj.applyAll()
 	return inj.Events()
 }

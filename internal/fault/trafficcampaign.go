@@ -87,11 +87,7 @@ func RunTraffic(mix traffic.Mix, horizon sim.Time, opt Options) (*TrafficResult,
 		events := trafficSchedule(opt.Topology, rate, horizon,
 			rand.New(rand.NewSource(opt.Seed+faultSeedStride*int64(rate))))
 		inj := NewInjector(eng.Network(), events)
-		var lastAt sim.Time
-		for _, e := range inj.Events() {
-			lastAt = e.At
-		}
-		inj.ApplyUntil(lastAt)
+		inj.applyAll()
 		out, err := eng.Run()
 		if err != nil {
 			return nil, fmt.Errorf("fault: traffic campaign %q at rate %d: %w", mix.Name, rate, err)
