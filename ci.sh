@@ -47,9 +47,6 @@ if ! cmp -s internal/analysis/testdata/pmlint_report.golden "$reportout"; then
 fi
 rm -f "$reportout"
 
-echo "== analysis race tests =="
-go test -race ./internal/analysis/...
-
 echo "== build cmd binaries =="
 bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
