@@ -133,14 +133,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	})
 	var t *topo.Topology
-	switch {
-	case !topoSet:
-	case *topoFlag == "cluster8":
-		t = topo.Cluster8()
-	case *topoFlag == "system256":
-		t = topo.System256()
-	default:
-		return fail(fmt.Errorf("unknown topology %q", *topoFlag))
+	if topoSet {
+		var err error
+		if t, err = topo.ByName(*topoFlag); err != nil {
+			return fail(err)
+		}
 	}
 	opt := fault.Options{
 		Seed:         *seed,

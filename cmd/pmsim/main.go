@@ -12,65 +12,104 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"powermanna"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the benchmark and writes its report to stdout.
+// It returns the process exit code: 0 on success, 1 on a bad value
+// (with the reason on stderr), 2 on a malformed command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		machineFlag = flag.String("machine", "pm", "pm, sun, pc180 or pc266")
-		benchFlag   = flag.String("bench", "matmult", "matmult, hint or comm")
-		n           = flag.Int("n", 201, "matrix size (matmult) or message bytes (comm)")
-		versionFlag = flag.String("version", "transposed", "matmult version: naive or transposed")
-		cpus        = flag.Int("cpus", 1, "processors to use (matmult)")
-		typeFlag    = flag.String("type", "double", "hint data type: double or int")
-		intervals   = flag.Int("intervals", 100000, "hint interval budget")
+		machineFlag = fs.String("machine", "pm", "pm, sun, pc180 or pc266")
+		benchFlag   = fs.String("bench", "matmult", "matmult, hint or comm")
+		n           = fs.Int("n", 201, "matrix size (matmult) or message bytes (comm)")
+		versionFlag = fs.String("version", "transposed", "matmult version: naive or transposed")
+		cpus        = fs.Int("cpus", 1, "processors to use (matmult)")
+		typeFlag    = fs.String("type", "double", "hint data type: double or int")
+		intervals   = fs.Int("intervals", 100000, "hint interval budget")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pmsim: "+format+"\n", a...)
+		return 1
+	}
 
 	cfg, ok := powermanna.MachineByName(*machineFlag)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown machine %q\n", *machineFlag)
-		os.Exit(1)
+		return fail("unknown machine %q", *machineFlag)
 	}
 
 	switch *benchFlag {
 	case "matmult":
-		v := powermanna.Transposed
-		if *versionFlag == "naive" {
+		var v powermanna.MatMultVersion
+		switch *versionFlag {
+		case "naive":
 			v = powermanna.Naive
+		case "transposed":
+			v = powermanna.Transposed
+		default:
+			return fail("unknown matmult version %q (want naive or transposed)", *versionFlag)
+		}
+		if *n < 1 {
+			return fail("matrix size %d must be positive", *n)
 		}
 		nd := powermanna.NewNode(cfg)
-		fmt.Println(powermanna.RunMatMult(nd, *n, v, *cpus))
+		if installed := len(nd.Procs()); *cpus < 1 || *cpus > installed {
+			return fail("cpus = %d, want 1..%d on %s", *cpus, installed, *machineFlag)
+		}
+		fmt.Fprintln(stdout, powermanna.RunMatMult(nd, *n, v, *cpus))
 
 	case "hint":
-		dt := powermanna.HintDouble
-		if *typeFlag == "int" {
+		var dt powermanna.HintDataType
+		switch *typeFlag {
+		case "double":
+			dt = powermanna.HintDouble
+		case "int":
 			dt = powermanna.HintInt
+		default:
+			return fail("unknown hint data type %q (want double or int)", *typeFlag)
+		}
+		if *intervals < 1 {
+			return fail("interval budget %d must be positive", *intervals)
 		}
 		nd := powermanna.NewNode(cfg)
 		r := powermanna.RunHINT(nd, dt, *intervals)
-		fmt.Println(r)
+		fmt.Fprintln(stdout, r)
 		for _, p := range r.Points {
-			fmt.Printf("  t=%-12v intervals=%-8d quality=%-12.4g QUIPS=%.4g\n",
+			fmt.Fprintf(stdout, "  t=%-12v intervals=%-8d quality=%-12.4g QUIPS=%.4g\n",
 				p.Time, p.Intervals, p.Quality, p.QUIPS)
 		}
 
 	case "comm":
 		if *machineFlag != "pm" && *machineFlag != "powermanna" {
-			fmt.Fprintln(os.Stderr, "comm benchmark measures the PowerMANNA pair; use -machine pm")
-			os.Exit(1)
+			return fail("comm benchmark measures the PowerMANNA pair; use -machine pm")
+		}
+		if *n < 1 {
+			return fail("message size %d must be positive", *n)
 		}
 		pm := powermanna.NewPowerMANNAComm()
-		fmt.Printf("%s message size %d bytes:\n", pm.Name(), *n)
-		fmt.Printf("  one-way latency: %v\n", pm.OneWayLatency(*n))
-		fmt.Printf("  gap at saturation: %v\n", pm.Gap(*n))
-		fmt.Printf("  unidirectional: %.1f MB/s\n", pm.UniBandwidth(*n)/1e6)
-		fmt.Printf("  bidirectional (total): %.1f MB/s\n", pm.BiBandwidth(*n)/1e6)
+		fmt.Fprintf(stdout, "%s message size %d bytes:\n", pm.Name(), *n)
+		fmt.Fprintf(stdout, "  one-way latency: %v\n", pm.OneWayLatency(*n))
+		fmt.Fprintf(stdout, "  gap at saturation: %v\n", pm.Gap(*n))
+		fmt.Fprintf(stdout, "  unidirectional: %.1f MB/s\n", pm.UniBandwidth(*n)/1e6)
+		fmt.Fprintf(stdout, "  bidirectional (total): %.1f MB/s\n", pm.BiBandwidth(*n)/1e6)
 
 	default:
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *benchFlag)
-		os.Exit(1)
+		return fail("unknown benchmark %q", *benchFlag)
 	}
+	return 0
 }

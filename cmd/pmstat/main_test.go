@@ -48,6 +48,7 @@ func TestBadInputExitsOne(t *testing.T) {
 		{[]string{"--window-us", "-5"}, "negative telemetry window"},
 		{[]string{"--engine", "par", "--shards", "-1"}, "negative shard count -1"},
 		{[]string{"--campaign", "no-such"}, `unknown campaign "no-such"`},
+		{[]string{"--topo", "torus"}, `unknown topology "torus"`},
 	}
 	for _, tc := range cases {
 		name := strings.Join(tc.args, " ")

@@ -29,14 +29,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var t *powermanna.Topology
-	switch *topoFlag {
-	case "cluster8":
-		t = powermanna.Cluster8()
-	case "system256":
-		t = powermanna.System256()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topoFlag)
+	t, err := powermanna.TopologyByName(*topoFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("topology %s: %d nodes (%d processors), %d crossbars\n",

@@ -102,9 +102,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	t, err := pickTopology(*topoFlag)
-	if err != nil {
-		return fail(err)
+	// An empty --topo means the workload default: t stays nil so
+	// campaigns with their own default topology keep it.
+	var t *topo.Topology
+	if *topoFlag != "" {
+		var err error
+		if t, err = topo.ByName(*topoFlag); err != nil {
+			return fail(err)
+		}
 	}
 	engine, err := psim.ParseKind(*engineFlag)
 	if err != nil {
@@ -149,21 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	return 0
-}
-
-// pickTopology maps the --topo flag; empty means "workload default" and
-// returns nil so campaigns with their own default topology keep it.
-func pickTopology(name string) (*topo.Topology, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "cluster8":
-		return topo.Cluster8(), nil
-	case "system256":
-		return topo.System256(), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
-	}
 }
 
 // runWorkload records one seeded workload into rec.

@@ -80,14 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	var t *topo.Topology
-	switch *topoFlag {
-	case "cluster8":
-		t = topo.Cluster8()
-	case "system256":
-		t = topo.System256()
-	default:
-		return fail(fmt.Errorf("unknown topology %q", *topoFlag))
+	t, err := topo.ByName(*topoFlag)
+	if err != nil {
+		return fail(err)
 	}
 
 	var reg *metrics.Registry

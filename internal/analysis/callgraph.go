@@ -15,8 +15,8 @@ import (
 // It builds a per-package static call graph whose distinguished roots are
 // the sim event-handler entry points: every function or function literal
 // scheduled through a sim event queue — internal/sim's Scheduler.At /
-// After (directly or via the sim.Engine interface), internal/psim's
-// per-shard At / After and cross-shard Engine.Post — plus any declared
+// After (a psim shard embeds that Scheduler, so shard calls resolve to
+// it) and internal/psim's cross-shard Engine.Post — plus any declared
 // function carrying the //pmlint:root directive.
 // The edge from the scheduling site to the scheduled callback is
 // deliberately *not* in the graph — crossing the event queue is the one
@@ -383,22 +383,20 @@ func (g *CallGraph) collectCaptures(node *CGNode, lit *ast.FuncLit) {
 }
 
 // scheduleQueues lists the event-queue owners whose At / After / Post
-// methods enqueue work: the sequential scheduler and the Engine
-// interface it satisfies in internal/sim, and the parallel engine's
-// shard plus its cross-shard mailbox in internal/psim.
+// methods enqueue work: the one event queue in internal/sim (which every
+// psim shard embeds) and the parallel engine's cross-shard mailbox in
+// internal/psim.
 var scheduleQueues = []struct {
 	pkgSuffix string
 	typeName  string
 }{
 	{"internal/sim", "Scheduler"},
-	{"internal/sim", "Engine"},
-	{"internal/psim", "Shard"},
 	{"internal/psim", "Engine"},
 }
 
 // scheduleCallback returns the callback argument of a call that enqueues
-// work on a sim event queue (Scheduler/Engine/Shard At and After, plus
-// the parallel engine's cross-shard Post), or nil for any other call.
+// work on a sim event queue (Scheduler At and After, plus the parallel
+// engine's cross-shard Post), or nil for any other call.
 // The callback is the final func() argument.
 func scheduleCallback(pkg *Package, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -41,10 +41,10 @@ func TestCallGraphRoots(t *testing.T) {
 }
 
 // TestCallGraphEngineRoots checks the parallel-engine schedule sites:
-// callbacks scheduled through the sim.Engine interface, a psim shard
-// and the cross-shard Post mailbox all root; the //pmlint:root
-// directive promotes a declared worker loop; a lookalike At method on
-// an unrelated type roots nothing.
+// callbacks scheduled through a psim shard's promoted scheduler methods
+// and the cross-shard Post mailbox root; the //pmlint:root directive
+// promotes a declared worker loop; a lookalike At method on an
+// unrelated type roots nothing.
 func TestCallGraphEngineRoots(t *testing.T) {
 	pkg, err := NewLoader().LoadDir("testdata/src/pqueue", "powermanna/internal/pqueue", "internal/pqueue")
 	if err != nil {
@@ -55,7 +55,7 @@ func TestCallGraphEngineRoots(t *testing.T) {
 	for _, r := range g.HandlerRoots() {
 		roots[r.Name] = true
 	}
-	for _, want := range []string{"ifaceHandler", "shardHandler", "postHandler", "drain"} {
+	for _, want := range []string{"shardHandler", "postHandler", "drain"} {
 		if !roots[want] {
 			t.Errorf("%s is not a handler root; roots = %v", want, roots)
 		}
@@ -63,8 +63,8 @@ func TestCallGraphEngineRoots(t *testing.T) {
 	if roots["notAHandler"] {
 		t.Errorf("lookalike At callback notAHandler rooted; the matcher must check the receiver's package")
 	}
-	if len(roots) != 4 {
-		t.Errorf("got %d roots (%v), want 4", len(roots), roots)
+	if len(roots) != 3 {
+		t.Errorf("got %d roots (%v), want 3", len(roots), roots)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package pqueue exercises the schedule-site matcher's parallel-engine
-// cases: callbacks scheduled through the sim.Engine interface, through
-// a psim shard, through the cross-shard Post mailbox, and a worker loop
+// cases: callbacks scheduled through a psim shard's promoted scheduler
+// methods, through the cross-shard Post mailbox, and a worker loop
 // promoted to handler root by directive. The lookalike type at the
 // bottom must stay invisible.
 package pqueue
@@ -10,15 +10,9 @@ import (
 	"powermanna/internal/sim"
 )
 
-// viaInterface schedules through the sim.Engine interface — the callback
-// must root even though the static type is not *sim.Scheduler.
-func viaInterface(eng sim.Engine) {
-	eng.At(0, ifaceHandler)
-}
-
-func ifaceHandler() {}
-
-// viaShard schedules on a psim shard and posts across shards.
+// viaShard schedules on a psim shard — the callback must root even
+// though the static receiver is *psim.Shard, whose At/After are
+// promoted from its embedded sim.Scheduler — and posts across shards.
 func viaShard(e *psim.Engine) {
 	e.Shard(0).After(sim.Time(5), shardHandler)
 	e.Post(0, 1, sim.Time(10), postHandler)
@@ -33,7 +27,7 @@ func postHandler() {}
 //
 //pmlint:root
 func drain() {
-	ifaceHandler()
+	shardHandler()
 }
 
 // lookalike has an At method with the right shape but is not an event

@@ -102,7 +102,7 @@ type SlotRef struct {
 // failing over to plane B like every other software layer.
 type System struct {
 	params Params
-	sched  sim.Engine
+	sched  *sim.Scheduler
 	net    *netsim.Network
 	topo   *topo.Topology
 	nodes  []*nodeState
@@ -169,15 +169,13 @@ func NewWithFailover(t *topo.Topology, p Params, cfg netsim.FailoverConfig) *Sys
 	return NewWithEngine(t, p, cfg, sim.NewScheduler())
 }
 
-// NewWithEngine builds an EARTH system over an explicit event engine —
+// NewWithEngine builds an EARTH system over an explicit event queue —
 // the hook the parallel campaigns use to run a whole EARTH machine on
-// one psim shard, where the shard's heap is the runtime's event queue.
-// The engine must honor sim.Engine's (time, seq) dispatch order; both
-// the sequential scheduler and a psim shard do.
-func NewWithEngine(t *topo.Topology, p Params, cfg netsim.FailoverConfig, eng sim.Engine) *System {
+// one psim shard, whose embedded scheduler is the runtime's event queue.
+func NewWithEngine(t *topo.Topology, p Params, cfg netsim.FailoverConfig, sched *sim.Scheduler) *System {
 	s := &System{
 		params: p,
-		sched:  eng,
+		sched:  sched,
 		net:    netsim.New(t),
 		topo:   t,
 	}

@@ -227,18 +227,18 @@ type appOutcome struct {
 	planeB   stats.CounterSet
 }
 
-// runAppRate schedules one application row onto an event engine: a
+// runAppRate schedules one application row onto an event queue: a
 // single setup event builds the workload's runtime over a fresh
 // fault-aware network, applies the seeded link-cut schedule up front,
 // runs the workload and closes the accounting. EARTH workloads take
-// the row's engine as their own event queue (earth.NewWithEngine), so
-// under the parallel sweep the runtime's events live on the row's
-// shard heap. Message-passing workloads own a nested psim engine (the
-// PWorld's shards) and use the row's engine only as its execution slot,
-// so their rows must run on a plain scheduler — RunApp keeps them off
-// the parallel-row path and lets the PWorld supply the parallelism.
-func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline sim.Time, eng sim.Engine, out *appOutcome) {
-	eng.At(0, func() {
+// the row's queue as their own (earth.NewWithEngine), so under the
+// parallel sweep the runtime's events live on the row's shard.
+// Message-passing workloads own a nested psim engine (the PWorld's
+// shards) and use the row's queue only as its execution slot, so their
+// rows must run on plain schedulers — RunApp keeps them off the
+// parallel-row path and lets the PWorld supply the parallelism.
+func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline sim.Time, sched *sim.Scheduler, out *appOutcome) {
+	sched.At(0, func() {
 		var runW func() (sim.Time, error)
 		var net *netsim.Network
 		var setMetrics func(*metrics.Registry)
@@ -247,7 +247,7 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 		counters := func(p int) stats.CounterSet { return net.PlaneCounterSet(p) }
 		osStream := true
 		if c.EarthWorkload != nil {
-			s := earth.NewWithEngine(opt.Topology, earth.DefaultParams(), netsim.DefaultFailover(), eng)
+			s := earth.NewWithEngine(opt.Topology, earth.DefaultParams(), netsim.DefaultFailover(), sched)
 			net = s.Network()
 			runW = func() (sim.Time, error) { return c.EarthWorkload(s) }
 			// EARTH workloads attach through the runtime so the earth.*
@@ -364,20 +364,14 @@ func RunApp(c AppCampaign, opt Options) (*AppResult, error) {
 	}
 	baseline := outs[0].row.Makespan
 
-	rest := c.Rates[1:]
-	if opt.Engine == psim.Par && len(rest) > 0 && c.PartWorkload == nil {
-		eng := psim.NewEngine(len(rest), 0)
-		for i, rate := range rest {
-			runAppRate(c, opt, rate, i == len(rest)-1, baseline, eng.Shard(i), &outs[i+1])
-		}
-		eng.Run()
-	} else {
-		for i, rate := range rest {
-			sch := sim.NewScheduler()
-			runAppRate(c, opt, rate, i == len(rest)-1, baseline, sch, &outs[i+1])
-			sch.Run()
-		}
+	kind := opt.Engine
+	if c.PartWorkload != nil {
+		kind = psim.Seq
 	}
+	rest := c.Rates[1:]
+	runRows(kind, len(rest), func(i int, s *sim.Scheduler) {
+		runAppRate(c, opt, rest[i], i == len(rest)-1, baseline, s, &outs[i+1])
+	})
 	for i := range outs {
 		if outs[i].err != nil {
 			return nil, outs[i].err

@@ -330,7 +330,7 @@ type rateOutcome struct {
 	xbars    *stats.Table
 }
 
-// runRate schedules one degradation row onto an event engine: a setup
+// runRate schedules one degradation row onto an event queue: a setup
 // event at time zero builds the row's private machine (network,
 // per-source transports, injector) and schedules every generated
 // message at its send time, followed by a finalize event that closes
@@ -338,8 +338,8 @@ type rateOutcome struct {
 // streams, the outcome — is confined to the row, which is exactly what
 // makes a row a valid psim shard: the parallel sweep runs one row per
 // shard with no cross-shard events at all.
-func runRate(c Campaign, opt Options, cfg netsim.FailoverConfig, rate int, observed bool, eng sim.Engine, out *rateOutcome) {
-	eng.At(0, func() {
+func runRate(c Campaign, opt Options, cfg netsim.FailoverConfig, rate int, observed bool, sched *sim.Scheduler, out *rateOutcome) {
+	sched.At(0, func() {
 		net := netsim.New(opt.Topology)
 		if observed {
 			// Only the highest-rate (most interesting) row is observed; the
@@ -369,7 +369,7 @@ func runRate(c Campaign, opt Options, cfg netsim.FailoverConfig, rate int, obser
 			if m.at > last {
 				last = m.at
 			}
-			eng.At(m.at, func() {
+			sched.At(m.at, func() {
 				if out.err != nil {
 					return
 				}
@@ -395,7 +395,7 @@ func runRate(c Campaign, opt Options, cfg netsim.FailoverConfig, rate int, obser
 		}
 		// Finalize shares the last message's time; the (time, seq) order
 		// runs it after every send.
-		eng.At(last, func() {
+		sched.At(last, func() {
 			if out.row.Delivered > 0 {
 				out.row.MeanLatency = latSum / sim.Time(out.row.Delivered)
 			}
@@ -434,21 +434,9 @@ func Run(c Campaign, opt Options) (*Result, error) {
 	res := &Result{Campaign: c, Options: opt}
 	cfg := netsim.DefaultFailover()
 	outs := make([]rateOutcome, len(c.Rates))
-	if opt.Engine == psim.Par {
-		// One shard per rate row, unbounded window: the rows exchange no
-		// events, so the whole sweep is a single barrier-free round.
-		eng := psim.NewEngine(len(c.Rates), 0)
-		for i, rate := range c.Rates {
-			runRate(c, opt, cfg, rate, i == len(c.Rates)-1, eng.Shard(i), &outs[i])
-		}
-		eng.Run()
-	} else {
-		for i, rate := range c.Rates {
-			sch := sim.NewScheduler()
-			runRate(c, opt, cfg, rate, i == len(c.Rates)-1, sch, &outs[i])
-			sch.Run()
-		}
-	}
+	runRows(opt.Engine, len(c.Rates), func(i int, s *sim.Scheduler) {
+		runRate(c, opt, cfg, c.Rates[i], i == len(c.Rates)-1, s, &outs[i])
+	})
 	// Assemble in sweep order. Inflation replicates the sequential
 	// incremental semantics exactly: the baseline is looked up against
 	// the rows assembled so far, so the 0-rate row itself takes the
@@ -472,6 +460,27 @@ func Run(c Campaign, opt Options) (*Result, error) {
 	res.PlaneB = last.planeB
 	res.Xbars = last.xbars
 	return res, nil
+}
+
+// runRows runs n independent rows, each scheduled by schedule onto its
+// own event queue: one after another on fresh schedulers, or under
+// psim.Par as the shards of one engine with an unbounded window — the
+// rows exchange no events, so the whole sweep is a single barrier-free
+// round.
+func runRows(kind psim.Kind, n int, schedule func(i int, s *sim.Scheduler)) {
+	if kind == psim.Par && n > 0 {
+		eng := psim.NewEngine(n, 0)
+		for i := 0; i < n; i++ {
+			schedule(i, &eng.Shard(i).Scheduler)
+		}
+		eng.Run()
+		return
+	}
+	for i := 0; i < n; i++ {
+		s := sim.NewScheduler()
+		schedule(i, s)
+		s.Run()
+	}
 }
 
 // xbarTable builds the per-crossbar breakdown of one run: every crossbar

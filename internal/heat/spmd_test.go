@@ -39,60 +39,52 @@ func TestPartMatchesSerialExactly(t *testing.T) {
 }
 
 // TestPartDeterministicAcrossShards pins the timing side: identical
-// makespan and traffic at every aligned shard count, serial or
-// parallel dispatch.
+// makespan and traffic at every aligned shard count.
 func TestPartDeterministicAcrossShards(t *testing.T) {
 	top := topo.System256()
 	cfg := DefaultConfig(8*top.Nodes(), 12)
 	cfg.ReduceEvery = 6
-	run := func(shards int, serial bool) Result {
+	run := func(shards int) Result {
 		w, err := mpl.NewPWorld(top, shards)
 		if err != nil {
 			t.Fatalf("NewPWorld(%d): %v", shards, err)
 		}
-		w.PartNetwork().SetSerial(serial)
 		res, err := RunPart(w, cfg)
 		if err != nil {
-			t.Fatalf("shards=%d serial=%v: %v", shards, serial, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return res
 	}
-	ref := run(1, false)
-	for _, shards := range []int{2, 8, 16} {
-		got := run(shards, false)
+	ref := run(1)
+	for _, shards := range []int{2, 4, 8, 16} {
+		got := run(shards)
 		if got.Makespan != ref.Makespan || got.Messages != ref.Messages || got.MsgBytes != ref.MsgBytes {
 			t.Errorf("shards=%d: makespan %v msgs %d bytes %d, want %v %d %d",
 				shards, got.Makespan, got.Messages, got.MsgBytes, ref.Makespan, ref.Messages, ref.MsgBytes)
 		}
 	}
-	if got := run(4, true); got.Makespan != ref.Makespan {
-		t.Errorf("serial dispatch: makespan %v, want %v", got.Makespan, ref.Makespan)
-	}
 }
 
 // BenchmarkHeatSystem256 sweeps the partitioned heat solver across
-// shard counts on the full machine: engine=seq is the single-heap
-// serial-dispatch baseline, engine=par fans the shard heaps across
-// worker goroutines. Wall-clock at shards=4 under -cpu 4 is the
+// shard counts on the full machine: shards=1 is the single-heap
+// baseline, more shards fan the shard heaps across worker goroutines.
+// Wall-clock at shards=4 under -cpu 4 is the
 // headline: the same byte-identical event program, walked in parallel.
 func BenchmarkHeatSystem256(b *testing.B) {
 	top := topo.System256()
 	cfg := DefaultConfig(24*top.Nodes(), 30)
-	run := func(b *testing.B, shards int, serial bool) {
+	run := func(b *testing.B, shards int) {
 		for i := 0; i < b.N; i++ {
 			w, err := mpl.NewPWorld(top, shards)
 			if err != nil {
 				b.Fatal(err)
 			}
-			w.PartNetwork().SetSerial(serial)
 			if _, err := RunPart(w, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("engine=seq/shards=1", func(b *testing.B) { run(b, 1, true) })
 	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("engine=par/shards=%d", shards), func(b *testing.B) { run(b, shards, false) })
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { run(b, shards) })
 	}
 }

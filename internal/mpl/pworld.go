@@ -131,8 +131,8 @@ func NewPWorldWith(t *topo.Topology, shards int, cfg netsim.FailoverConfig) (*PW
 	return w, nil
 }
 
-// PartNetwork exposes the partitioned datapath (for SetSerial and the
-// shard accessors).
+// PartNetwork exposes the partitioned datapath (for the shard
+// accessors).
 func (w *PWorld) PartNetwork() *netsim.PartNetwork { return w.pn }
 
 // Network exposes the underlying network for fault injection. Only

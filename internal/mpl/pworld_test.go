@@ -132,13 +132,12 @@ func TestPWorldCollectives(t *testing.T) {
 // pworldTrial runs a deterministic mixed workload (point-to-point ring
 // plus an AllReduce) on System256 and returns the makespan, traffic
 // and rendered metrics.
-func pworldTrial(t *testing.T, shards int, serial bool) (sim.Time, int64, int64, string) {
+func pworldTrial(t *testing.T, shards int) (sim.Time, int64, int64, string) {
 	t.Helper()
 	w, err := NewPWorld(topo.System256(), shards)
 	if err != nil {
 		t.Fatalf("NewPWorld(%d): %v", shards, err)
 	}
-	w.PartNetwork().SetSerial(serial)
 	reg := metrics.NewRegistry()
 	w.SetMetrics(reg)
 	err = w.Run(func(r *PRank) error {
@@ -166,7 +165,7 @@ func pworldTrial(t *testing.T, shards int, serial bool) (sim.Time, int64, int64,
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("shards=%d serial=%v: %v", shards, serial, err)
+		t.Fatalf("shards=%d: %v", shards, err)
 	}
 	msgs, bytes := w.Stats()
 	return w.MaxTime(), msgs, bytes, reg.Render()
@@ -174,45 +173,38 @@ func pworldTrial(t *testing.T, shards int, serial bool) (sim.Time, int64, int64,
 
 // TestPWorldDeterministicAcrossShards pins the tentpole invariant at
 // the message-passing layer: the same SPMD program produces identical
-// makespans, traffic and metrics at every aligned shard count, serial
-// or parallel dispatch.
+// makespans, traffic and metrics at every aligned shard count.
 func TestPWorldDeterministicAcrossShards(t *testing.T) {
-	refT, refM, refB, refMet := pworldTrial(t, 1, false)
+	refT, refM, refB, refMet := pworldTrial(t, 1)
 	if refT <= 0 || refM == 0 {
 		t.Fatalf("trivial reference: makespan %v, %d msgs", refT, refM)
 	}
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		for _, serial := range []bool{false, true} {
-			if shards == 1 && !serial {
-				continue
-			}
-			gt, gm, gb, gmet := pworldTrial(t, shards, serial)
-			if gt != refT || gm != refM || gb != refB {
-				t.Errorf("shards=%d serial=%v: makespan %v msgs %d bytes %d, want %v %d %d",
-					shards, serial, gt, gm, gb, refT, refM, refB)
-			}
-			if gmet != refMet {
-				t.Errorf("shards=%d serial=%v: metrics diverged", shards, serial)
-			}
+	for _, shards := range []int{2, 4, 8, 16} {
+		gt, gm, gb, gmet := pworldTrial(t, shards)
+		if gt != refT || gm != refM || gb != refB {
+			t.Errorf("shards=%d: makespan %v msgs %d bytes %d, want %v %d %d",
+				shards, gt, gm, gb, refT, refM, refB)
+		}
+		if gmet != refMet {
+			t.Errorf("shards=%d: metrics diverged", shards)
 		}
 	}
 }
 
 // BenchmarkAllreduceSystem256 sweeps repeated 128-rank AllReduce rounds
-// across shard counts: engine=seq is the serial-dispatch baseline,
-// engine=par walks the shard heaps concurrently. The butterfly's
+// across shard counts: shards=1 is the single-heap baseline, more
+// shards walk their heaps concurrently. The butterfly's
 // cross-group edges are exactly the traffic the partition mailboxes
 // exist for, so this is the communication-bound end of the sweep.
 func BenchmarkAllreduceSystem256(b *testing.B) {
 	top := topo.System256()
 	const rounds = 10
-	run := func(b *testing.B, shards int, serial bool) {
+	run := func(b *testing.B, shards int) {
 		for i := 0; i < b.N; i++ {
 			w, err := NewPWorld(top, shards)
 			if err != nil {
 				b.Fatal(err)
 			}
-			w.PartNetwork().SetSerial(serial)
 			p := w.Ranks()
 			wantA := float64(p) * float64(p+1) / 2
 			err = w.Run(func(r *PRank) error {
@@ -232,9 +224,7 @@ func BenchmarkAllreduceSystem256(b *testing.B) {
 			}
 		}
 	}
-	b.Run("engine=seq/shards=1", func(b *testing.B) { run(b, 1, true) })
 	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("engine=par/shards=%d", shards), func(b *testing.B) { run(b, shards, false) })
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { run(b, shards) })
 	}
 }

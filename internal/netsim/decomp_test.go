@@ -110,7 +110,7 @@ func TestDecompCleanSendIsAllWire(t *testing.T) {
 // faults make Detect and Retry non-zero somewhere.
 func TestDecompExactPartitioned(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		deliveries, _, _, _, _ := partBurst(t, shards, shards == 1)
+		deliveries, _, _, _, _ := partBurst(t, shards)
 		var sawArb, sawDetect, sawRetry bool
 		for i, d := range deliveries {
 			checkDecomp(t, "burst", d)
@@ -141,7 +141,6 @@ func TestDecompRegistrySumsExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPartitioned: %v", err)
 	}
-	pn.SetSerial(true)
 	reg := metrics.NewRegistry()
 	pn.SetMetrics(reg)
 	pn.Network().CutWire(9, topo.NetworkA, 500*sim.Nanosecond)

@@ -209,12 +209,6 @@ func (pn *PartNetwork) ShardOf(node int) int { return pn.part.NodeShard(node) }
 // OnDeliver registers the delivery hook. Call before Run.
 func (pn *PartNetwork) OnDeliver(fn DeliverFunc) { pn.deliver = fn }
 
-// SetSerial switches the engine between parallel and serial dispatch —
-// byte-identical histories either way (psim's contract); serial is the
-// --engine seq execution and the only safe mode nested inside another
-// engine's event.
-func (pn *PartNetwork) SetSerial(on bool) { pn.eng.SetSerial(on) }
-
 // SetMetrics attaches a registry: each shard resolves its own private
 // instruments (send-path counters, latency and detection histograms,
 // arbitration waits) and Finish merges them into m in shard order. The

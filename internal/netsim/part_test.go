@@ -17,13 +17,12 @@ var system256Shards = []int{1, 2, 4, 8, 16}
 // partSend runs one message through a fresh partitioned System256 and
 // returns its Delivery. fault applies wire faults to both the
 // partitioned and the legacy network identically.
-func partSend(t *testing.T, shards int, serial bool, src, dst, bytes int, fault func(*Network)) Delivery {
+func partSend(t *testing.T, shards int, src, dst, bytes int, fault func(*Network)) Delivery {
 	t.Helper()
 	pn, err := NewPartitioned(topo.System256(), shards, DefaultFailover())
 	if err != nil {
 		t.Fatalf("NewPartitioned(%d): %v", shards, err)
 	}
-	pn.SetSerial(serial)
 	if fault != nil {
 		fault(pn.Network())
 	}
@@ -37,7 +36,7 @@ func partSend(t *testing.T, shards int, serial bool, src, dst, bytes int, fault 
 	})
 	pn.Run()
 	if !done {
-		t.Fatalf("shards=%d serial=%v: send %d->%d never completed", shards, serial, src, dst)
+		t.Fatalf("shards=%d: send %d->%d never completed", shards, src, dst)
 	}
 	return got
 }
@@ -102,12 +101,9 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 	for _, tc := range cases {
 		want := legacySend(t, tc.src, tc.dst, tc.bytes, tc.fault)
 		for _, shards := range system256Shards {
-			for _, serial := range []bool{false, true} {
-				got := partSend(t, shards, serial, tc.src, tc.dst, tc.bytes, tc.fault)
-				if got != want {
-					t.Errorf("%s shards=%d serial=%v:\n got %+v\nwant %+v",
-						tc.name, shards, serial, got, want)
-				}
+			got := partSend(t, shards, tc.src, tc.dst, tc.bytes, tc.fault)
+			if got != want {
+				t.Errorf("%s shards=%d:\n got %+v\nwant %+v", tc.name, shards, got, want)
 			}
 		}
 	}
@@ -317,14 +313,13 @@ func TestPartitionedMultiSendMatchesLegacy(t *testing.T) {
 // fixed permutation target at t=0 and a second wave back to its group
 // neighbourhood at 2 µs — enough same-time cross-group traffic to
 // exercise canonical drains, open holds and parked walkers.
-func partBurst(t *testing.T, shards int, serial bool) (deliveries []Delivery, arrivals []sim.Time, planes [2]PlaneCounters, mets string, events []trace.Event) {
+func partBurst(t *testing.T, shards int) (deliveries []Delivery, arrivals []sim.Time, planes [2]PlaneCounters, mets string, events []trace.Event) {
 	t.Helper()
 	top := topo.System256()
 	pn, err := NewPartitioned(top, shards, DefaultFailover())
 	if err != nil {
 		t.Fatalf("NewPartitioned(%d): %v", shards, err)
 	}
-	pn.SetSerial(serial)
 	reg := metrics.NewRegistry()
 	pn.SetMetrics(reg)
 	rec := trace.NewRecorder()
@@ -366,12 +361,11 @@ func partBurst(t *testing.T, shards int, serial bool) (deliveries []Delivery, ar
 
 // TestPartitionedBurstDeterministicAcrossShards pins the load-bearing
 // invariant of the partitioned datapath: the event program is a pure
-// function of the model, so every aligned shard count — and serial vs
-// parallel dispatch — produces identical deliveries, arrival times,
-// plane counters, metrics and merged traces for the same contended
-// workload.
+// function of the model, so every aligned shard count produces
+// identical deliveries, arrival times, plane counters, metrics and
+// merged traces for the same contended workload.
 func TestPartitionedBurstDeterministicAcrossShards(t *testing.T) {
-	refD, refA, refP, refM, refE := partBurst(t, 1, false)
+	refD, refA, refP, refM, refE := partBurst(t, 1)
 	for _, d := range refD {
 		if d.Done == 0 && !d.Failed {
 			t.Fatalf("burst left an unfinished send: %+v", d)
@@ -383,36 +377,31 @@ func TestPartitionedBurstDeterministicAcrossShards(t *testing.T) {
 	if refP[1].FailedOver == 0 && refP[0].FailedOver == 0 {
 		t.Fatalf("burst faults caused no failovers")
 	}
-	for _, shards := range system256Shards {
-		for _, serial := range []bool{false, true} {
-			if shards == 1 && !serial {
-				continue
+	for _, shards := range system256Shards[1:] {
+		name := fmt.Sprintf("shards=%d", shards)
+		d, a, p, m, e := partBurst(t, shards)
+		for i := range refD {
+			if d[i] != refD[i] {
+				t.Fatalf("%s: delivery %d diverged:\n got %+v\nwant %+v", name, i, d[i], refD[i])
 			}
-			name := fmt.Sprintf("shards=%d serial=%v", shards, serial)
-			d, a, p, m, e := partBurst(t, shards, serial)
-			for i := range refD {
-				if d[i] != refD[i] {
-					t.Fatalf("%s: delivery %d diverged:\n got %+v\nwant %+v", name, i, d[i], refD[i])
-				}
+		}
+		for i := range refA {
+			if a[i] != refA[i] {
+				t.Errorf("%s: arrival at node %d diverged: got %v want %v", name, i, a[i], refA[i])
 			}
-			for i := range refA {
-				if a[i] != refA[i] {
-					t.Errorf("%s: arrival at node %d diverged: got %v want %v", name, i, a[i], refA[i])
-				}
-			}
-			if p != refP {
-				t.Errorf("%s: plane counters diverged:\n got %+v\nwant %+v", name, p, refP)
-			}
-			if m != refM {
-				t.Errorf("%s: metrics diverged", name)
-			}
-			if len(e) != len(refE) {
-				t.Fatalf("%s: trace length diverged: got %d want %d", name, len(e), len(refE))
-			}
-			for i := range e {
-				if e[i] != refE[i] {
-					t.Fatalf("%s: trace event %d diverged:\n got %+v\nwant %+v", name, i, e[i], refE[i])
-				}
+		}
+		if p != refP {
+			t.Errorf("%s: plane counters diverged:\n got %+v\nwant %+v", name, p, refP)
+		}
+		if m != refM {
+			t.Errorf("%s: metrics diverged", name)
+		}
+		if len(e) != len(refE) {
+			t.Fatalf("%s: trace length diverged: got %d want %d", name, len(e), len(refE))
+		}
+		for i := range e {
+			if e[i] != refE[i] {
+				t.Fatalf("%s: trace event %d diverged:\n got %+v\nwant %+v", name, i, e[i], refE[i])
 			}
 		}
 	}

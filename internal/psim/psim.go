@@ -1,7 +1,8 @@
 // Package psim is the parallel discrete-event engine: the event space
-// is split into shards, each with its own heap, clock and sequence
-// counter, driven by worker goroutines and synchronized through
-// conservative lookahead windows (null-message-free barrier rounds).
+// is split into shards, each its own sim.Scheduler (heap, clock and
+// sequence counter), driven by worker goroutines and synchronized
+// through conservative lookahead windows (null-message-free barrier
+// rounds).
 // Cross-shard events travel through per-pair mailboxes and are merged
 // at each barrier with a deterministic (time, source shard, post
 // order) tie-break, so a sharded run dispatches exactly the events a
@@ -21,13 +22,13 @@
 // window (lookahead 0), which degenerates to one round with no
 // barriers: the embarrassingly-parallel fast path.
 //
-// Each Shard implements sim.Engine, so models written against the
-// sequential scheduler (EARTH, the campaign drivers) run unchanged on
-// a shard. Everything a shard's events touch must be shard-local; the
-// pmlint --report audit (sharedstate and friends) is the static gate
-// on that, and the per-row construction in internal/fault is the
-// dynamic pattern: one network, one injector, one accounting row per
-// shard.
+// A Shard embeds sim.Scheduler, so there is one event queue in the
+// repository and models written against it (EARTH, the campaign
+// drivers) run unchanged on a shard. Everything a shard's events touch
+// must be shard-local; the pmlint --report audit (sharedstate and
+// friends) is the static gate on that, and the per-row construction in
+// internal/fault is the dynamic pattern: one network, one injector, one
+// accounting row per shard.
 package psim
 
 import (
@@ -80,157 +81,21 @@ func DefaultLookahead() sim.Time {
 	return xbar.RouteSetup + link.BytePeriod
 }
 
-// event is a scheduled callback; same total order as internal/sim:
-// (at, seq), seq breaking every time tie in scheduling order.
-type event struct {
-	at  sim.Time
-	seq uint64
-	fn  func()
-}
-
-// eventHeap is the hand-rolled binary min-heap over (at, seq), the
-// same layout as internal/sim's: no interface boxing per schedule.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push appends e and restores the heap invariant.
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = event{} // release the callback so the GC can collect it
-	*h = q[:n]
-	q = q[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	return top
-}
-
-// Shard is one partition of the event space: a private heap, clock,
-// sequence counter and step count. It implements sim.Engine, so model
-// code written against the sequential scheduler runs unchanged on a
-// shard. A shard's state — and everything its events touch — belongs
-// to exactly one worker goroutine per barrier round; the engine is the
-// only cross-shard channel.
+// Shard is one partition of the event space: a sim.Scheduler (private
+// heap, clock, sequence counter and step count) owned by an engine.
+// Model code written against the sequential scheduler runs unchanged on
+// &shard.Scheduler. A shard's state — and everything its events touch —
+// belongs to exactly one worker goroutine per barrier round; the engine
+// is the only cross-shard channel. Run on a shard ignores the engine's
+// window end, so model code may call it reentrantly from inside an event
+// (EARTH's runtime does) only on an unbounded window.
 type Shard struct {
-	eng    *Engine
-	id     int
-	now    sim.Time
-	seq    uint64
-	queue  eventHeap
-	nsteps uint64
+	sim.Scheduler
+	id int
 }
 
 // ID reports the shard's index within its engine.
 func (s *Shard) ID() int { return s.id }
-
-// Now reports the shard's current simulated time.
-func (s *Shard) Now() sim.Time { return s.now }
-
-// Steps reports how many events this shard has dispatched.
-func (s *Shard) Steps() uint64 { return s.nsteps }
-
-// Pending reports the number of events still queued on this shard.
-func (s *Shard) Pending() int { return len(s.queue) }
-
-// At schedules fn on this shard at absolute simulated time t.
-// Scheduling in the past is a model bug and panics.
-//
-//pmlint:hotpath
-func (s *Shard) At(t sim.Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("psim: shard %d scheduling at %v before now %v", s.id, t, s.now)) //pmlint:allow hotpath cold panic guard for a model bug, never taken per event
-	}
-	s.seq++
-	s.queue.push(event{at: t, seq: s.seq, fn: fn})
-}
-
-// After schedules fn to run d after the shard's current time.
-//
-//pmlint:hotpath
-func (s *Shard) After(d sim.Time, fn func()) { s.At(s.now+d, fn) }
-
-// Step dispatches the shard's next event, advancing its clock to it.
-// It reports whether an event was dispatched.
-//
-//pmlint:hotpath
-func (s *Shard) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	e := s.queue.pop()
-	s.now = e.at
-	s.nsteps++
-	e.fn()
-	return true
-}
-
-// Run dispatches the shard's events until its queue is empty. Model
-// code may call it reentrantly from inside an event (EARTH's runtime
-// does); with cross-shard traffic it is only safe on an unbounded
-// window, because it ignores the engine's window end.
-func (s *Shard) Run() {
-	for s.Step() {
-	}
-}
-
-// RunUntil dispatches all shard events at or before t, then advances
-// the shard clock to exactly t.
-func (s *Shard) RunUntil(t sim.Time) {
-	for len(s.queue) > 0 && s.queue[0].at <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// RunWhile dispatches shard events until cond reports false or the
-// queue drains, reporting whether events remain.
-func (s *Shard) RunWhile(cond func() bool) bool {
-	for cond() {
-		if !s.Step() {
-			return false
-		}
-	}
-	return true
-}
 
 // runWindow is the worker loop of one barrier round: it dispatches
 // every queued callback strictly below the window end. It is the
@@ -239,18 +104,7 @@ func (s *Shard) RunWhile(cond func() bool) bool {
 // at most one goroutine per shard per round.
 //
 //pmlint:root
-func (s *Shard) runWindow(end sim.Time) {
-	for len(s.queue) > 0 && s.queue[0].at < end {
-		e := s.queue.pop()
-		s.now = e.at
-		s.nsteps++
-		e.fn()
-	}
-}
-
-// Shards cannot exist outside an engine, so the interface check lives
-// here: every shard is a drop-in sequential scheduler.
-var _ sim.Engine = (*Shard)(nil)
+func (s *Shard) runWindow(end sim.Time) { s.RunBefore(end) }
 
 // post is one cross-shard event waiting in a mailbox: either a plain
 // callback (fn) or a data payload bound for a destination-owned
@@ -285,14 +139,6 @@ type Handler interface {
 type Engine struct {
 	shards    []*Shard
 	lookahead sim.Time
-	// serial dispatches every round on the calling goroutine, shard 0
-	// first — the --engine seq execution of a partitioned model. The
-	// event program (window ends, mailbox merges, sequence numbers) is
-	// identical to the parallel dispatch, so serial and parallel runs of
-	// a shard-confined model produce byte-identical histories; serial is
-	// also safe to drive from inside another engine's event (nested
-	// engines), where spawning workers would not be.
-	serial bool
 	// horizon is the current round's window end (sim.MaxTime when the
 	// window is unbounded); Post enforces the conservative contract
 	// against it.
@@ -319,18 +165,10 @@ func NewEngine(n int, lookahead sim.Time) *Engine {
 		mail:      make([][]post, n*n),
 	}
 	for i := range e.shards {
-		e.shards[i] = &Shard{eng: e, id: i}
+		e.shards[i] = &Shard{id: i}
 	}
 	return e
 }
-
-// SetSerial switches the engine between parallel dispatch (one worker
-// goroutine per shard per round, the default) and serial dispatch
-// (every shard's window run on the calling goroutine, shard order).
-// Both produce the same history; serial is the sequential execution of
-// a partitioned model and the only safe mode inside another engine's
-// event.
-func (e *Engine) SetSerial(on bool) { e.serial = on }
 
 // Lookahead reports the engine's conservative window width.
 func (e *Engine) Lookahead() sim.Time { return e.lookahead }
@@ -345,7 +183,7 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 func (e *Engine) Steps() uint64 {
 	var n uint64
 	for _, s := range e.shards {
-		n += s.nsteps
+		n += s.Steps()
 	}
 	return n
 }
@@ -385,13 +223,9 @@ func (e *Engine) nextEventTime() (sim.Time, bool) {
 	var min sim.Time
 	found := false
 	for _, s := range e.shards {
-		if len(s.queue) == 0 {
-			continue
+		if at, ok := s.NextAt(); ok && (!found || at < min) {
+			min, found = at, true
 		}
-		if !found || s.queue[0].at < min {
-			min = s.queue[0].at
-		}
-		found = true
 	}
 	return min, found
 }
@@ -424,15 +258,13 @@ func (e *Engine) Run() {
 // goroutine — no goroutines, so the sequential configuration of a
 // parallel tool run stays literally sequential.
 func (e *Engine) round(end sim.Time) {
-	if len(e.shards) == 1 || e.serial {
-		for _, s := range e.shards {
-			s.runWindow(end)
-		}
+	if len(e.shards) == 1 {
+		e.shards[0].runWindow(end)
 		return
 	}
 	var wg sync.WaitGroup
 	for _, s := range e.shards {
-		if len(s.queue) == 0 || s.queue[0].at >= end {
+		if at, ok := s.NextAt(); !ok || at >= end {
 			continue
 		}
 		wg.Add(1)
@@ -484,8 +316,7 @@ func (e *Engine) deliver() {
 			return merged[i].src < merged[j].src
 		})
 		for _, p := range merged {
-			s.seq++
-			s.queue.push(event{at: p.at, seq: s.seq, fn: p.fn})
+			s.At(p.at, p.fn)
 		}
 	}
 }

@@ -165,11 +165,11 @@ func TestPingPongDiffEquivalence(t *testing.T) {
 // directly on a single-shard engine against the stock scheduler: same
 // answer, same makespan, byte-identical timeline.
 func TestEarthOnShardMatchesScheduler(t *testing.T) {
-	run := func(eng sim.Engine) (int64, sim.Time, string) {
+	run := func(sched *sim.Scheduler) (int64, sim.Time, string) {
 		tp := topo.Cluster8()
 		var s *earth.System
-		if eng != nil {
-			s = earth.NewWithEngine(tp, earth.DefaultParams(), netsim.DefaultFailover(), eng)
+		if sched != nil {
+			s = earth.NewWithEngine(tp, earth.DefaultParams(), netsim.DefaultFailover(), sched)
 		} else {
 			s = earth.NewWithFailover(tp, earth.DefaultParams(), netsim.DefaultFailover())
 		}
@@ -186,7 +186,7 @@ func TestEarthOnShardMatchesScheduler(t *testing.T) {
 		return got, makespan, b.String()
 	}
 	sg, sm, st := run(nil)
-	pg, pm, pt := run(psim.NewEngine(1, 0).Shard(0))
+	pg, pm, pt := run(&psim.NewEngine(1, 0).Shard(0).Scheduler)
 	if sg != pg || sm != pm {
 		t.Fatalf("fib on shard: got %d in %v, scheduler got %d in %v", pg, pm, sg, sm)
 	}

@@ -8,10 +8,11 @@ import (
 )
 
 // TestShardMatchesSchedulerOrder drives the same event program — ties,
-// reentrant scheduling, After chains — through a sim.Scheduler and a
-// single psim shard and requires identical dispatch order.
+// reentrant scheduling, After chains — through a sim.Scheduler's Run
+// and through the barrier rounds of a single-shard engine, and requires
+// identical dispatch order.
 func TestShardMatchesSchedulerOrder(t *testing.T) {
-	program := func(e sim.Engine) []string {
+	program := func(e *sim.Scheduler, run func()) []string {
 		var log []string
 		emit := func(tag string) func() {
 			return func() { log = append(log, fmt.Sprintf("%s@%v", tag, e.Now())) }
@@ -24,12 +25,14 @@ func TestShardMatchesSchedulerOrder(t *testing.T) {
 			e.At(e.Now(), emit("b-tie")) // same-time reschedule runs after queued ties
 		})
 		e.At(30*sim.Nanosecond, emit("c2"))
-		e.Run()
+		run()
 		return log
 	}
 
-	want := program(sim.NewScheduler())
-	got := program(NewEngine(1, 0).Shard(0))
+	s := sim.NewScheduler()
+	want := program(s, s.Run)
+	eng := NewEngine(1, 0)
+	got := program(&eng.Shard(0).Scheduler, eng.Run)
 	if len(want) == 0 {
 		t.Fatal("reference program dispatched nothing")
 	}
@@ -129,19 +132,6 @@ func TestPostInsideWindowPanics(t *testing.T) {
 	eng.Run()
 }
 
-// TestShardAtPastPanics mirrors the sequential scheduler's guard.
-func TestShardAtPastPanics(t *testing.T) {
-	sh := NewEngine(1, 0).Shard(0)
-	sh.At(10*sim.Nanosecond, func() {})
-	sh.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
-		}
-	}()
-	sh.At(5*sim.Nanosecond, func() {})
-}
-
 // TestEngineStepsAndAccessors covers the bookkeeping surface.
 func TestEngineStepsAndAccessors(t *testing.T) {
 	eng := NewEngine(3, 0)
@@ -161,29 +151,6 @@ func TestEngineStepsAndAccessors(t *testing.T) {
 	eng.Run()
 	if eng.Steps() != 3 {
 		t.Fatalf("Steps() = %d, want 3", eng.Steps())
-	}
-}
-
-// TestRunUntilRunWhile covers the remaining sim.Engine methods on a
-// shard against the scheduler's documented semantics.
-func TestRunUntilRunWhile(t *testing.T) {
-	sh := NewEngine(1, 0).Shard(0)
-	var fired int
-	for i := 1; i <= 4; i++ {
-		sh.At(sim.Time(i)*sim.Microsecond, func() { fired++ })
-	}
-	sh.RunUntil(2 * sim.Microsecond)
-	if fired != 2 || sh.Now() != 2*sim.Microsecond {
-		t.Fatalf("after RunUntil: fired %d at %v, want 2 at 2us", fired, sh.Now())
-	}
-	if more := sh.RunWhile(func() bool { return fired < 3 }); !more {
-		t.Fatal("RunWhile drained the queue; one event should remain")
-	}
-	if more := sh.RunWhile(func() bool { return true }); more {
-		t.Fatal("RunWhile reported events remaining on an empty queue")
-	}
-	if fired != 4 {
-		t.Fatalf("fired %d, want 4", fired)
 	}
 }
 

@@ -140,6 +140,31 @@ func (s *Scheduler) RunUntil(t Time) {
 	}
 }
 
+// NextAt reports the time of the earliest queued event, and false when the
+// queue is empty.
+func (s *Scheduler) NextAt() (Time, bool) {
+	if len(s.queue) == 0 {
+		return 0, false
+	}
+	return s.queue[0].at, true
+}
+
+// RunBefore dispatches every event scheduled strictly before t, including
+// ones scheduled during the call, and leaves the clock at the last event
+// dispatched rather than advancing it to t. It is the window loop of the
+// parallel engine in internal/psim, whose barrier rounds may not move a
+// shard's clock past its own events.
+//
+//pmlint:hotpath
+func (s *Scheduler) RunBefore(t Time) {
+	for len(s.queue) > 0 && s.queue[0].at < t {
+		e := s.queue.pop()
+		s.now = e.at
+		s.nsteps++
+		e.fn()
+	}
+}
+
 // RunWhile dispatches events until cond reports false or the queue drains.
 // It reports whether the queue still has events (i.e. the condition, not
 // exhaustion, stopped the run).

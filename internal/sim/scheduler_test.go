@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,62 @@ func TestSchedulerRunWhile(t *testing.T) {
 	}
 	if count != 10 {
 		t.Errorf("count = %d, want 10", count)
+	}
+}
+
+func TestSchedulerNextAt(t *testing.T) {
+	s := NewScheduler()
+	if at, ok := s.NextAt(); ok {
+		t.Errorf("NextAt on an empty queue = %v, true", at)
+	}
+	s.At(30, func() {})
+	s.At(10, func() {})
+	if at, ok := s.NextAt(); !ok || at != 10 {
+		t.Errorf("NextAt = %v, %v; want 10, true", at, ok)
+	}
+	if s.Now() != 0 || s.Pending() != 2 {
+		t.Errorf("NextAt moved the clock to %v or consumed events (%d pending)", s.Now(), s.Pending())
+	}
+}
+
+// TestSchedulerRunBefore pins the window loop: the bound is strict, the
+// clock stays at the last event dispatched, equal-time events keep
+// scheduling order, and an event scheduled inside the window fires in
+// the same call.
+func TestSchedulerRunBefore(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	log := func(tag string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%v", tag, s.Now())) }
+	}
+	s.At(10, log("a"))
+	s.At(10, func() {
+		log("b")()
+		s.After(5, log("inner")) // at 15, inside the window
+		s.At(20, log("edge"))    // at the bound: must wait
+	})
+	s.At(10, log("c"))
+	s.At(20, log("late"))
+	s.RunBefore(20)
+	if got, want := fmt.Sprint(order), "[a@10ps b@10ps c@10ps inner@15ps]"; got != want {
+		t.Errorf("RunBefore(20) dispatched %s, want %s", got, want)
+	}
+	if s.Now() != 15 {
+		t.Errorf("Now() = %v after RunBefore(20), want 15 (the last event, not the bound)", s.Now())
+	}
+	if s.Steps() != 4 || s.Pending() != 2 {
+		t.Errorf("Steps() = %d, Pending() = %d; want 4 and 2", s.Steps(), s.Pending())
+	}
+	if at, ok := s.NextAt(); !ok || at != 20 {
+		t.Errorf("NextAt = %v, %v; want 20, true", at, ok)
+	}
+	s.RunBefore(20)
+	if s.Steps() != 4 {
+		t.Errorf("a second RunBefore(20) dispatched %d more events", s.Steps()-4)
+	}
+	s.RunBefore(MaxTime)
+	if got, want := fmt.Sprint(order[4:]), "[late@20ps edge@20ps]"; got != want {
+		t.Errorf("after the bound: %s, want %s", got, want)
 	}
 }
 

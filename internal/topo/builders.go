@@ -49,6 +49,18 @@ func System256() *Topology {
 	return t
 }
 
+// ByName builds a topology from its name, the spelling of every CLI's
+// --topo flag: "cluster8" or "system256".
+func ByName(name string) (*Topology, error) {
+	switch name {
+	case "cluster8":
+		return Cluster8(), nil
+	case "system256":
+		return System256(), nil
+	}
+	return nil, fmt.Errorf("unknown topology %q", name)
+}
+
 func mustConnect(t *Topology, devA, portA, devB, portB int, async bool) {
 	if err := t.Connect(devA, portA, devB, portB, async); err != nil {
 		panic(err)

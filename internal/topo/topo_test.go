@@ -18,6 +18,33 @@ func TestCluster8Shape(t *testing.T) {
 	}
 }
 
+// TestByName checks the --topo lookup: each known name builds the
+// matching topology, anything else is an error naming the input.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		nodes  int
+		errMsg string
+	}{
+		{"cluster8", 8, ""},
+		{"system256", 128, ""},
+		{"torus", 0, `unknown topology "torus"`},
+		{"", 0, `unknown topology ""`},
+		{"Cluster8", 0, `unknown topology "Cluster8"`},
+	} {
+		got, err := ByName(tc.name)
+		if tc.errMsg != "" {
+			if err == nil || err.Error() != tc.errMsg || got != nil {
+				t.Errorf("ByName(%q) = %v, %v; want nil, %q", tc.name, got, err, tc.errMsg)
+			}
+			continue
+		}
+		if err != nil || got == nil || got.Name() != tc.name || got.Nodes() != tc.nodes {
+			t.Errorf("ByName(%q) = %v, %v; want %s with %d nodes", tc.name, got, err, tc.name, tc.nodes)
+		}
+	}
+}
+
 func TestCluster8SingleHopRoutes(t *testing.T) {
 	c := Cluster8()
 	for _, net := range []int{NetworkA, NetworkB} {

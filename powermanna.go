@@ -175,6 +175,8 @@ var (
 	Cluster8 = topo.Cluster8
 	// System256 builds the Figure 5b 256-processor system.
 	System256 = topo.System256
+	// TopologyByName builds "cluster8" or "system256" by name.
+	TopologyByName = topo.ByName
 	// NewNetwork instantiates crossbars, wires and NIs over a topology.
 	NewNetwork = netsim.New
 )
