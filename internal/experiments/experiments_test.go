@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -77,6 +79,30 @@ func TestFig5(t *testing.T) {
 	}
 }
 
+// renderDigests pin the quick Render() of the node and link figures
+// byte for byte (SHA-256). The shape tests below check them as they go,
+// so no figure runs twice.
+var renderDigests = map[string]string{
+	"fig6a": "6b40c77575b04118c4632eb3bf9cdadd9e12181538510cf5b6d1e84af29da1ff",
+	"fig6b": "b34a149a102ac16ab268eb15c8e363f444722ee0e0a48a6ed994638ad7f7b0b1",
+	"fig7a": "89a954ef96655079e5583d7f54d088a5e2ca3c7b1330d8453dadfd72668939eb",
+	"fig7b": "eb585d886e0d88a2399c2fcc50b8d57c22660e0c5c466586f94f35de2f93bf61",
+	"fig8a": "db20e3022798cf9f76def81248f67c72b53f25f7af2bd5f0248d584bff6b2d8e",
+	"fig8b": "2ca3b352053cde51c888b88793b7e21f8fb861e11ff9d57a8e9a9a7d91153f75",
+	"fig9":  "6b96b266503e3b8c52eb5c86709c88f8b860a86755b8b1e3bd1a5315bd274eb5",
+	"fig10": "0450cc68951e65a2c27e68e4122d1116a569e4b40eba24bcd20352c3206d58dc",
+	"fig11": "ae52c73d2d11aefb3d70cf5596f240a81f59f5baec635a270f152631441a61fe",
+	"fig12": "4ad8fba8b071491352648a45b3b9bd446bf695497676efbf378dc1659d2cb95e",
+}
+
+func checkDigest(t *testing.T, r Result) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(r.Render()))
+	if got := hex.EncodeToString(sum[:]); got != renderDigests[r.ID] {
+		t.Errorf("%s: quick Render digest %s, want %s", r.ID, got, renderDigests[r.ID])
+	}
+}
+
 func seriesByName(f *stats.Figure, name string) *stats.Series {
 	for i := range f.Series {
 		if f.Series[i].Name == name {
@@ -88,6 +114,7 @@ func seriesByName(f *stats.Figure, name string) *stats.Series {
 
 func TestFig6Shapes(t *testing.T) {
 	r := Fig6a(quick)
+	checkDigest(t, r)
 	if r.Figure == nil || len(r.Figure.Series) != 4 {
 		t.Fatalf("fig6a series = %d, want 4 machines", len(r.Figure.Series))
 	}
@@ -99,6 +126,7 @@ func TestFig6Shapes(t *testing.T) {
 	}
 	// INT: the SUN trails both PowerMANNA and the 180 MHz PC.
 	ri := Fig6b(quick)
+	checkDigest(t, ri)
 	sun := seriesByName(ri.Figure, "SUN-Ultra1")
 	pm := seriesByName(ri.Figure, "PowerMANNA")
 	pc := seriesByName(ri.Figure, "PC-PII-180")
@@ -116,6 +144,8 @@ func TestFig7Shapes(t *testing.T) {
 	}
 	a := Fig7a(quick)
 	b := Fig7b(quick)
+	checkDigest(t, a)
+	checkDigest(t, b)
 	pmA := seriesByName(a.Figure, "PowerMANNA")
 	pmB := seriesByName(b.Figure, "PowerMANNA")
 	if pmA == nil || pmB == nil {
@@ -143,6 +173,7 @@ func TestFig8Speedups(t *testing.T) {
 		t.Skip("multi-second sweep")
 	}
 	for _, r := range []Result{Fig8a(quick), Fig8b(quick)} {
+		checkDigest(t, r)
 		pm := seriesByName(r.Figure, "PowerMANNA")
 		if pm == nil {
 			t.Fatal("missing PowerMANNA series")
@@ -166,6 +197,7 @@ func TestFig8Speedups(t *testing.T) {
 
 func TestFig9Through12(t *testing.T) {
 	for _, r := range []Result{Fig9(quick), Fig10(quick), Fig11(quick), Fig12(quick)} {
+		checkDigest(t, r)
 		if r.Figure == nil || len(r.Figure.Series) != 3 {
 			t.Fatalf("%s: want 3 systems, got %d", r.ID, len(r.Figure.Series))
 		}
