@@ -74,16 +74,19 @@ func hintFigure(id string, dt hint.DataType, opt Options) Result {
 		LogX:   true,
 		LogY:   true,
 	}
+	machines := machine.All()
+	runs := make([]hint.Result, len(machines))
+	each(len(machines), func(i int) {
+		runs[i] = hint.Run(node.New(machines[i]), dt, max)
+	})
 	peaks := map[string]float64{}
-	for _, cfg := range machine.All() {
-		nd := node.New(cfg)
-		r := hint.Run(nd, dt, max)
+	for i, cfg := range machines {
 		s := stats.Series{Name: cfg.Name}
-		for _, p := range r.Points {
+		for _, p := range runs[i].Points {
 			s.Add(p.Time.Seconds(), p.QUIPS)
 		}
 		fig.Add(s)
-		peaks[cfg.Name] = r.PeakQUIPS
+		peaks[cfg.Name] = runs[i].PeakQUIPS
 	}
 	notes := []string{}
 	for _, k := range sortedKeys(peaks) {
@@ -128,14 +131,20 @@ func matmultFigure(id string, v matmult.Version, opt Options) Result {
 		XLabel: "N",
 		YLabel: "MFLOPS",
 	}
+	machines, sizes := fig7Machines(), fig7Sizes(opt)
+	mflops := make([][]float64, len(machines))
+	each(len(machines), func(i int) {
+		nd := node.New(machines[i])
+		for _, n := range sizes {
+			mflops[i] = append(mflops[i], matmult.Run(nd, n, v, 1).MFLOPS())
+		}
+	})
 	last := map[string]float64{}
-	for _, cfg := range fig7Machines() {
-		nd := node.New(cfg)
+	for i, cfg := range machines {
 		s := stats.Series{Name: cfg.Name}
-		for _, n := range fig7Sizes(opt) {
-			r := matmult.Run(nd, n, v, 1)
-			s.Add(float64(n), r.MFLOPS())
-			last[cfg.Name] = r.MFLOPS()
+		for k, n := range sizes {
+			s.Add(float64(n), mflops[i][k])
+			last[cfg.Name] = mflops[i][k]
 		}
 		fig.Add(s)
 	}
@@ -172,16 +181,22 @@ func speedupFigure(id string, v matmult.Version, opt Options) Result {
 		XLabel: "N",
 		YLabel: "speedup",
 	}
-	lastSpeedup := map[string]float64{}
-	for _, cfg := range fig7Machines() {
-		nd := node.New(cfg)
-		s := stats.Series{Name: cfg.Name}
+	machines := fig7Machines()
+	speedups := make([][]float64, len(machines))
+	each(len(machines), func(i int) {
+		nd := node.New(machines[i])
 		for _, n := range sizes {
 			one := matmult.Run(nd, n, v, 1)
 			two := matmult.Run(nd, n, v, 2)
-			sp := one.Time.Seconds() / two.Time.Seconds()
-			s.Add(float64(n), sp)
-			lastSpeedup[cfg.Name] = sp
+			speedups[i] = append(speedups[i], one.Time.Seconds()/two.Time.Seconds())
+		}
+	})
+	lastSpeedup := map[string]float64{}
+	for i, cfg := range machines {
+		s := stats.Series{Name: cfg.Name}
+		for k, n := range sizes {
+			s.Add(float64(n), speedups[i][k])
+			lastSpeedup[cfg.Name] = speedups[i][k]
 		}
 		fig.Add(s)
 	}
