@@ -94,7 +94,10 @@ func Run(nd *node.Node, dt DataType, maxIntervals int) Result {
 		evalCost = cpu.NewCostModel(core, evalTemplateInt())
 	}
 
-	st := newHintState()
+	// A split pops one interval and pushes two, so the heap peaks at
+	// exactly maxIntervals: allocate it once instead of growing it by
+	// append.
+	st := newHintState(maxIntervals)
 	res := Result{Machine: nd.Config().Name, Type: dt}
 	var touched []int32
 	lat := [2]int64{0, 1}

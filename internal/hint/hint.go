@@ -103,13 +103,16 @@ type hintState struct {
 	ilower, iupper int64
 }
 
-func newHintState() *hintState {
+// newHintState starts from the single interval [0, 1), with room for
+// capacity intervals before the heap has to grow.
+func newHintState(capacity int) *hintState {
 	root := interval{left: 0, width: 1, fLeft: f(0), fRight: f(1)}
 	root.err = (root.fLeft - root.fRight) * root.width
 	root.ileft, root.iwidth = 0, fixedOne
 	root.ifLeft, root.ifRight = fFixed(0), fFixed(fixedOne)
 	root.ierr = mulFixed(root.ifLeft-root.ifRight, root.iwidth)
-	s := &hintState{heap: []interval{root}}
+	s := &hintState{heap: make([]interval, 1, max(capacity, 1))}
+	s.heap[0] = root
 	// Bounds from the single interval: lower = f(right)*w, upper = f(left)*w.
 	s.lower = root.fRight * root.width
 	s.upper = root.fLeft * root.width

@@ -56,7 +56,7 @@ func TestMulFixed(t *testing.T) {
 }
 
 func TestBoundsConvergeOnTrueIntegral(t *testing.T) {
-	st := newHintState()
+	st := newHintState(4001)
 	var touched []int32
 	for i := 0; i < 4000; i++ {
 		touched = st.split(touched[:0])
@@ -76,7 +76,7 @@ func TestBoundsConvergeOnTrueIntegral(t *testing.T) {
 }
 
 func TestQualityIncreasesMonotonically(t *testing.T) {
-	st := newHintState()
+	st := newHintState(1001)
 	var touched []int32
 	prev := st.quality()
 	for i := 0; i < 1000; i++ {
@@ -89,9 +89,23 @@ func TestQualityIncreasesMonotonically(t *testing.T) {
 	}
 }
 
+// The heap Run sizes up front never grows: the last split of a run ends
+// at exactly the interval budget.
+func TestHeapPeaksAtCapacity(t *testing.T) {
+	const budget = 500
+	st := newHintState(budget)
+	var touched []int32
+	for len(st.heap) < budget {
+		touched = st.split(touched[:0])
+	}
+	if len(st.heap) != budget || cap(st.heap) != budget {
+		t.Errorf("heap len %d cap %d, want both %d", len(st.heap), cap(st.heap), budget)
+	}
+}
+
 // Heap invariant: the root always carries the maximum removable error.
 func TestHeapInvariant(t *testing.T) {
-	st := newHintState()
+	st := newHintState(501)
 	var touched []int32
 	for i := 0; i < 500; i++ {
 		touched = st.split(touched[:0])
