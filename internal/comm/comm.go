@@ -32,9 +32,12 @@ type System interface {
 	// LogP gap): the steady-state spacing of back-to-back messages.
 	Gap(n int) sim.Time
 	// UniBandwidth is the achieved one-directional stream bandwidth.
+	// It must be safe for concurrent use: the figures evaluate many
+	// sizes of one system at once.
 	UniBandwidth(n int) float64
 	// BiBandwidth is the total achieved bandwidth when both nodes send
-	// and receive simultaneously (sum of both directions).
+	// and receive simultaneously (sum of both directions). It must be
+	// safe for concurrent use, like UniBandwidth.
 	BiBandwidth(n int) float64
 }
 

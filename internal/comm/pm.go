@@ -180,6 +180,8 @@ func (s *PMSystem) Gap(n int) sim.Time {
 
 // UniBandwidth implements System: a one-directional message stream,
 // simulated at FIFO granularity (fills, drains, polls, flow control).
+// The driver simulation reads only s.params and never touches s.net, so
+// concurrent calls are safe, as are those of BiBandwidth.
 func (s *PMSystem) UniBandwidth(n int) float64 {
 	return runDriverSim(s.params, n, false)
 }
